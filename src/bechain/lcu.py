@@ -101,13 +101,12 @@ def _asym_prep_pair(w1: float, w2: float) -> tuple[CMatrix, CMatrix]:
     """Single-qubit (P_L, P_R) with ⟨0|P_L|j⟩⟨j|P_R|0⟩ = (w1, w2), signed weights."""
     if abs(w1) + abs(w2) > 1.0 + 1e-12:
         raise ValueError("|w1| + |w2| must not exceed 1")
-    b = 1.0 + w1 * w1 - w2 * w2
-    disc = b * b - 4.0 * w1 * w1
-    u = (b + math.sqrt(max(disc, 0.0))) / 2.0
-    t = math.sqrt(u)
-    s = math.sqrt(max(1.0 - u, 0.0))
-    r1 = w1 / t
-    r2 = w2 / s if s > 0 else 0.0
+    # ⟨0|P_L = (cos α, sin α) and P_R|0⟩ = (cos β, sin β) with cos(α ∓ β) = w1 ± w2
+    a = math.acos(min(1.0, max(-1.0, w1 + w2)))
+    b = math.acos(min(1.0, max(-1.0, w1 - w2)))
+    alpha, beta = abs(a - b) / 2.0, math.copysign((a + b) / 2.0, w2)
+    t, s = math.cos(alpha), math.sin(alpha)
+    r1, r2 = math.cos(beta), math.sin(beta)
     p_l = np.array([[t, s], [s, -t]], dtype=complex)
     p_r = np.array([[r1, -r2], [r2, r1]], dtype=complex)
     return p_l, p_r

@@ -14,8 +14,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from itertools import combinations
-from typing import Literal, Sequence
+from itertools import combinations, product
+from typing import Callable, Literal, Sequence
 
 import numpy as np
 from scipy.optimize import minimize
@@ -455,23 +455,49 @@ def seqnorm_bound_check(
 # ---------------------------------------------------------------------------
 
 
-def _hermitian_basis(dim: int) -> list[CMatrix]:
-    basis: list[CMatrix] = []
-    for i in range(dim):
-        for j in range(i + 1, dim):
-            sym = np.zeros((dim, dim), dtype=complex)
-            sym[i, j] = sym[j, i] = 1.0
-            basis.append(sym)
-            asym = np.zeros((dim, dim), dtype=complex)
-            asym[i, j] = -1.0j
-            asym[j, i] = 1.0j
-            basis.append(asym)
+def _hermitian_basis(dim: int) -> np.ndarray:
+    """The dim² − 1 traceless Hermitian generators: X- and Y-type pairs, then diagonals."""
+    basis = []
+    for i, j in combinations(range(dim), 2):
+        for upper, lower in ((1.0, 1.0), (-1.0j, 1.0j)):
+            gen = np.zeros((dim, dim), dtype=complex)
+            gen[i, j], gen[j, i] = upper, lower
+            basis.append(gen)
     for d in range(1, dim):
-        diag = np.zeros((dim, dim), dtype=complex)
-        diag[:d, :d] = np.eye(d)
-        diag[d, d] = -d
-        basis.append(diag)
-    return basis
+        basis.append(np.diag([1.0] * d + [-d] + [0.0] * (dim - d - 1)).astype(complex))
+    return np.stack(basis)
+
+
+def _probe_residual(encodings: Sequence[BlockEncoding], m: int) -> Callable[[np.ndarray], float]:
+    """θ ↦ ‖A_[K] − ⟨0^{m+a}|U_MCM|0^{m+a}⟩‖, with V_1, …, V_{K−1}, Q from θ's K blocks.
+
+    The corner is Σ_x c_x·S_x with c_x = ⟨0^m|Q·Π_i V_i^{x_i}|0^m⟩.  The S_x do
+    not depend on θ and are computed once, so an evaluation is one batched
+    ``eigh``, a binary tree of 2^m-vectors, one contraction and one 2^n norm.
+    """
+    n, _ = _common_registers(encodings)
+    k = len(encodings)
+    if not (2 <= k <= 4 and 1 <= m <= 2):
+        raise ValueError("probe supports K in [2, 4] and m in [1, 2]")
+    if m > math.ceil(math.log2(k)):
+        raise ValueError("probe is for widths at or below the ⌈log₂K⌉ bound")
+    target = block_product(encodings)
+    dm, dn = 2**m, 2**n
+    basis = _hermitian_basis(dm).reshape(dm * dm - 1, dm * dm)
+    # product order: bit i of a string's index is the measurement after U_{i+1}
+    seqs = np.stack([bad_sequence_oracle(encodings, "".join(x)).ravel()
+                     for x in product("01", repeat=k - 1)])
+    root = np.eye(1, dm, dtype=complex)  # ⟨0^m| as a row
+
+    def residual(theta: np.ndarray) -> float:
+        evals, evecs = np.linalg.eigh((theta.reshape(k, -1) @ basis).reshape(k, dm, dm))
+        mats = (evecs * np.exp(1j * evals)[:, None, :]) @ evecs.conj().swapaxes(1, 2)
+        vecs = root  # rows (Π_i V_i^{x_i}|0^m⟩)ᵀ
+        for v in mats[:-1]:
+            vecs = np.concatenate([vecs, vecs @ v.T])
+        return opnorm(target - ((vecs @ mats[-1][0]) @ seqs).reshape(dn, dn))
+
+    return residual
 
 
 def lower_bound_probe(
@@ -486,45 +512,15 @@ def lower_bound_probe(
     Hermitian basis (4^m − 1 parameters each) and optimized by multi-restart
     Nelder–Mead with finite-difference (BFGS) refinement.  Evidence only: a
     residual bounded away from zero corroborates, but does not prove, the
-    ⌈log₂K⌉ lower bound.
+    ⌈log₂K⌉ lower bound.  At least one restart is required.
     """
-    encs = [normalize_selectors(be) for be in encodings]
-    n, a = _common_registers(encs)
-    k = len(encs)
-    if not (2 <= k <= 4 and 1 <= m <= 2):
-        raise ValueError("probe supports K in [2, 4] and m in [1, 2]")
-    if m > math.ceil(math.log2(k)):
-        raise ValueError("probe is for widths at or below the ⌈log₂K⌉ bound")
-    target = block_product(encs)
-    basis = np.stack(_hermitian_basis(2**m))
-    per = basis.shape[0]  # 4^m − 1
-    nparams = per * k  # K−1 interleaved V's plus Q
-    dn = 2**n
-    dm = 2**m
-    # constant factors of the circuit product, precomputed once
-    eye_m = np.eye(dm)
-    p0 = kron(proj_zero(a), np.eye(dn))
-    pp = kron(proj_perp(a), np.eye(dn))
-    lifted = [kron(eye_m, be.u) for be in encs]
-    p0_full = kron(eye_m, p0)
-
-    def unit(theta: np.ndarray) -> CMatrix:
-        gen = np.tensordot(theta, basis, axes=1)
-        evals, evecs = np.linalg.eigh(gen)
-        return (evecs * np.exp(1j * evals)) @ evecs.conj().T
-
-    def residual(theta: np.ndarray) -> float:
-        mats = [unit(theta[i * per : (i + 1) * per]) for i in range(k)]
-        out = lifted[0]
-        for i in range(k - 1):
-            out = lifted[i + 1] @ ((p0_full + kron(mats[i], pp)) @ out)
-        block = (kron(mats[-1], np.eye(p0.shape[0])) @ out)[:dn, :dn]
-        return opnorm(target - block)
-
+    if restarts < 1:
+        raise ValueError(f"restarts must be at least 1, got {restarts}")
+    residual = _probe_residual(encodings, m)
     rng = np.random.default_rng(seed)
     best = np.inf
     for _ in range(restarts):
-        x0 = rng.uniform(-1.5, 1.5, nparams)
+        x0 = rng.uniform(-1.5, 1.5, len(encodings) * (4**m - 1))
         res = minimize(
             residual, x0, method="Nelder-Mead",
             options={"maxiter": 900, "fatol": 1e-13, "xatol": 1e-11},

@@ -16,6 +16,8 @@ import numpy as np
 from .linalg import CMatrix, DEFAULT_TOL, as_cmatrix, dagger, householder_column, is_unitary, kron
 from .mcm import MCMCircuit, gadget_error_exact, mcm_unitary
 
+MAX_AUTO_ITERATIONS = 1000  # each iteration is a dense product; admits α > sin(π/4004)
+
 
 @dataclass(frozen=True)
 class AAProblem:
@@ -72,9 +74,12 @@ def reflect_initial(u0: np.ndarray) -> CMatrix:
 
 
 def auto_iterations(alpha: float) -> int:
-    """k = round(π/(4·arcsin α) − ½), clamped to be non-negative."""
+    """k = round(π/(4·arcsin α) − ½) ≥ 0; a ValueError above ``MAX_AUTO_ITERATIONS``."""
     theta = np.arcsin(min(max(alpha, 0.0), 1.0))
-    return max(0, round(np.pi / (4.0 * theta) - 0.5))
+    k = np.pi / (4.0 * theta) - 0.5 if theta > 0 else np.inf
+    if k >= MAX_AUTO_ITERATIONS + 0.5:
+        raise ValueError(f"automatic k = {k:.0f} > MAX_AUTO_ITERATIONS for alpha = {alpha:.3g}")
+    return max(0, round(k))
 
 
 def grover_boost(prob: AAProblem) -> tuple[np.ndarray, float]:

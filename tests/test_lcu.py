@@ -2,11 +2,14 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from bechain.encoding import BlockEncoding, dilate_hermitian, hermitian_test_encoding
 from bechain.lcu import (
     LCUSpec,
     SIN_PI_14,
+    _asym_prep_pair,
     lcu_build,
     lcu_i_minus_h2,
     lcu_w_uh,
@@ -77,6 +80,23 @@ def test_pair_select_weights():
     # signed weights
     w2 = pair_select(0.25, t1, -0.25, t2)
     np.testing.assert_allclose(w2[:4, :4], 0.25 * t1 - 0.25 * t2, atol=1e-12)
+
+
+@settings(deadline=None, max_examples=200)
+@given(w1=st.floats(-1.0, 1.0), frac=st.floats(-1.0, 1.0))
+@example(w1=0.0, frac=1.0)
+@example(w1=0.0, frac=-1.0)
+@example(w1=1.0, frac=0.0)
+@example(w1=-1.0, frac=0.0)
+@example(w1=0.0, frac=0.0)
+@example(w1=0.5, frac=1e-9)
+def test_asym_prep_pair_domain(w1, frac):
+    # every (w1, w2) with |w1| + |w2| <= 1, edges and corners included
+    w2 = frac * (1.0 - abs(w1))
+    p_l, p_r = _asym_prep_pair(w1, w2)
+    for p in (p_l, p_r):
+        np.testing.assert_allclose(p @ p.conj().T, np.eye(2), atol=1e-12)
+    np.testing.assert_allclose(p_l[0, :] * p_r[:, 0], [w1, w2], atol=1e-12)
 
 
 def test_lcu_i_minus_h2_scalars():

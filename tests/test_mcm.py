@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.linalg import expm
 
 from bechain.encoding import BlockEncoding, deviation_profile, random_block_encoding, random_near_identity
 from bechain.linalg import PAULI_X, Tolerance, haar_unitary, is_unitary, kron, opnorm
@@ -12,6 +13,8 @@ from bechain.mcm import (
     ErrorReport,
     MCMCircuit,
     MCMRaw,
+    _hermitian_basis,
+    _probe_residual,
     add_unitary,
     bad_sequence_oracle,
     block_product,
@@ -392,6 +395,23 @@ def test_probe_validation():
     encs = random_encodings(2, 720)
     with pytest.raises(ValueError, match="bound"):
         lower_bound_probe(encs, 2, 1, 0)  # m above ceil(log2 2) = 1
+    for restarts in (0, -1):  # no restart would leave the residual at inf
+        with pytest.raises(ValueError, match="restarts"):
+            lower_bound_probe(encs, 1, restarts, 0)
+
+
+@pytest.mark.parametrize("k, m", [(2, 1), (3, 1), (3, 2), (4, 1), (4, 2)])
+@settings(deadline=None, max_examples=8)
+@given(seed=st.integers(0, 10**6), n=st.integers(1, 2))
+def test_probe_residual_matches_full_unitary(k, m, seed, n):
+    # the factored Σ_x c_x·S_x residual against the full 2^{m+a+n} circuit
+    encs = random_encodings(k, seed, n=n)
+    theta = np.random.default_rng(seed).uniform(-1.5, 1.5, (k, 4**m - 1))
+    basis = _hermitian_basis(2**m)
+    mats = [expm(1j * sum(c * g for c, g in zip(row, basis))) for row in theta]
+    circ = MCMCircuit(encs, m, tuple(mats[:-1]), mats[-1])
+    expected = gadget_error_exact(circ, block_product(encs))
+    assert abs(_probe_residual(encs, m)(theta.ravel()) - expected) <= 1e-12
 
 
 def test_sum_bad_sequences_validation():

@@ -1,3 +1,5 @@
+import time
+
 import numpy as np
 import pytest
 
@@ -5,6 +7,7 @@ from bechain.encoding import BlockEncoding, random_block_encoding, random_near_i
 from bechain.linalg import haar_unitary
 from bechain.mcm import block_product, gadget_error_exact, gadget_lw19, gadget_pmacg
 from bechain.oaa import (
+    MAX_AUTO_ITERATIONS,
     AAProblem,
     auto_iterations,
     grover_boost,
@@ -62,6 +65,21 @@ def test_grover_no_good_component():
     u0 = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
     with pytest.raises(ValueError, match="no good component"):
         grover_boost(AAProblem(u0, 1, 1))
+
+
+def test_grover_refuses_unbounded_auto_count():
+    # alpha = 1e-6 would ask for 785398 dense products
+    t0 = time.monotonic()
+    with pytest.raises(ValueError, match="alpha = 1e-06"):
+        grover_boost(_rotation_problem(1e-6, None))
+    assert time.monotonic() - t0 < 1.0
+    with pytest.raises(ValueError, match="k = inf"):
+        auto_iterations(0.0)
+    theta = np.pi / (4.0 * (MAX_AUTO_ITERATIONS + 0.25))  # k = cap − 0.25 rounds to the cap
+    assert auto_iterations(np.sin(theta)) == MAX_AUTO_ITERATIONS
+    # an explicit count is the caller's choice
+    _, prob = grover_boost(_rotation_problem(1e-6, 2))
+    assert prob == pytest.approx(np.sin(5 * np.arcsin(1e-6)) ** 2, abs=1e-15)
 
 
 def test_auto_iterations_boosts_embe():
