@@ -14,12 +14,10 @@ import argparse
 import csv
 import json
 import math
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -38,6 +36,7 @@ from .mcm import (
     gadget_pmacg,
     lower_bound_probe,
     macg_bound,
+    macg_run_bound,
 )
 from .oaa import oaa_boost_report
 from .uncompute import EpsilonExceededError, uncompute_hermitian
@@ -48,6 +47,8 @@ SUBCOMMANDS = (
 )
 
 ERROR_HEADER = ["K", "m", "p", "c", "eta_max", "e_measured", "e_bound", "pass", "seed"]
+# macg-sweep appends the run-aware bound at the measured eta_max (see macg_run_bound).
+MACG_HEADER = ERROR_HEADER + ["e_run_bound"]
 UNCOMPUTE_HEADER = ["delta", "eps_requested", "eps_measured", "queries",
                     "ancillae_peak", "pass", "seed"]
 OAA_HEADER = ["alpha_before", "k", "alpha_after", "fidelity", "pass", "seed"]
@@ -128,15 +129,6 @@ def write_rows(rows: Sequence[dict], header: Sequence[str], out_path: str, fmt: 
             Path(out_path).write_text(text + "\n")
 
 
-def _pool_map(tasks: Sequence, worker: Callable) -> list:
-    env = os.environ.get("BECHAIN_THREADS", "")
-    workers = int(env) if env else min(4, os.cpu_count() or 1)
-    if workers <= 1 or len(tasks) <= 1:
-        return [worker(t) for t in tasks]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(worker, tasks))
-
-
 # ---------------------------------------------------------------------------
 # Row builders, one per subcommand.
 # ---------------------------------------------------------------------------
@@ -169,10 +161,9 @@ def _rows_uncompute(cfg: RunConfig) -> tuple[list[dict], list[str]]:
                 "ancillae_peak": None, "pass": False,
             }
         row["seed"] = trial_seed(cfg.seed, idx)
-        return (eps_i, trial), row
+        return row
 
-    results = dict(_pool_map(tasks, worker))
-    return [results[t] for t in sorted(results)], list(UNCOMPUTE_HEADER)
+    return [worker(t) for t in sorted(set(tasks))], list(UNCOMPUTE_HEADER)
 
 
 def _near_identity_set(k: int, c: float, n: int, a: int, base_seed: int) -> list:
@@ -193,21 +184,26 @@ def _rows_macg(cfg: RunConfig) -> tuple[list[dict], list[str]]:
         encs = _near_identity_set(k, cfg.c, cfg.n, cfg.a, base)
         circ = gadget_pmacg(encs, p)
         e = gadget_error_exact(circ, block_product(encs))
+        eta_max = deviation_profile(encs).eta_max
         try:
             bound = macg_bound(k, p, cfg.c)
         except ValueError:
             bound = None
+        try:
+            run_bound = macg_run_bound(k, p, eta_max)
+        except ValueError:
+            run_bound = None
         row = {
             "K": k, "m": circ.m, "p": p, "c": cfg.c,
-            "eta_max": deviation_profile(encs).eta_max,
+            "eta_max": eta_max,
             "e_measured": e, "e_bound": bound,
             "pass": (bound is not None and e <= bound),
             "seed": trial_seed(cfg.seed, trial),
+            "e_run_bound": run_bound,
         }
-        return task, row
+        return row
 
-    results = dict(_pool_map(tasks, worker))
-    return [results[t] for t in sorted(results)], list(ERROR_HEADER)
+    return [worker(t) for t in sorted(set(tasks))], list(MACG_HEADER)
 
 
 def _rows_ecg(cfg: RunConfig) -> tuple[list[dict], list[str]]:
@@ -227,10 +223,9 @@ def _rows_ecg(cfg: RunConfig) -> tuple[list[dict], list[str]]:
             "pass": (e <= tol and circ.m == math.ceil(math.log2(k))),
             "seed": trial_seed(cfg.seed, trial),
         }
-        return task, row
+        return row
 
-    results = dict(_pool_map(tasks, worker))
-    return [results[t] for t in sorted(results)], list(ERROR_HEADER)
+    return [worker(t) for t in sorted(set(tasks))], list(ERROR_HEADER)
 
 
 def _rows_lb_probe(cfg: RunConfig) -> tuple[list[dict], list[str]]:
@@ -249,10 +244,9 @@ def _rows_lb_probe(cfg: RunConfig) -> tuple[list[dict], list[str]]:
             "e_measured": residual, "e_bound": threshold,
             "pass": ok, "seed": trial_seed(cfg.seed, trial),
         }
-        return task, row
+        return row
 
-    results = dict(_pool_map(tasks, worker))
-    return [results[t] for t in sorted(results)], list(ERROR_HEADER)
+    return [worker(t) for t in sorted(set(tasks))], list(ERROR_HEADER)
 
 
 def _rows_oaa(cfg: RunConfig) -> tuple[list[dict], list[str]]:
@@ -272,10 +266,9 @@ def _rows_oaa(cfg: RunConfig) -> tuple[list[dict], list[str]]:
         row = report.to_row()
         row["pass"] = report.fidelity >= 1.0 - eps**2 and report.alpha_after**2 >= 0.8
         row["seed"] = trial_seed(cfg.seed, trial)
-        return task, row
+        return row
 
-    results = dict(_pool_map(tasks, worker))
-    return [results[t] for t in sorted(results)], list(OAA_HEADER)
+    return [worker(t) for t in sorted(set(tasks))], list(OAA_HEADER)
 
 
 def _sequence_row(encodings, k_gadget: int, seed: int) -> dict:

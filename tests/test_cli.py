@@ -1,3 +1,4 @@
+import csv
 import json
 import subprocess
 import sys
@@ -5,6 +6,7 @@ import sys
 import pytest
 
 from bechain.cli import RunConfig, build_parser, config_from_args, run
+from bechain.mcm import macg_run_bound
 
 
 def _run_cli(args, tmp_path, name):
@@ -83,6 +85,25 @@ def test_failed_rows_exit_code(tmp_path, capsys):
     code, data = _run_cli(args, tmp_path, "m.csv")
     assert code == 1
     assert ",false," in data.decode().splitlines()[1]
+
+
+def test_macg_sweep_run_bound_column(tmp_path, capsys):
+    # e_run_bound is appended after the nine shared columns; the closed-form
+    # e_bound still decides `pass`, and the run-aware bound holds on every row
+    args = ["macg-sweep", "--K", "8,16", "--p", "1,2", "--trials", "2", "--seed", "0"]
+    code, data = _run_cli(args, tmp_path, "m.csv")
+    lines = data.decode().splitlines()
+    assert lines[0] == "K,m,p,c,eta_max,e_measured,e_bound,pass,seed,e_run_bound"
+    rows = list(csv.DictReader(lines))
+    assert len(rows) == 8
+    for row in rows:
+        e, run_bound = float(row["e_measured"]), float(row["e_run_bound"])
+        assert e <= run_bound
+        assert run_bound == pytest.approx(
+            macg_run_bound(int(row["K"]), int(row["p"]), float(row["eta_max"])), rel=1e-9
+        )
+        assert row["pass"] == ("true" if e <= float(row["e_bound"]) else "false")
+    assert code == (0 if all(r["pass"] == "true" for r in rows) else 1)
 
 
 def test_run_config_validation():

@@ -11,6 +11,7 @@ from bechain.linalg import (
     herm_funcmat,
     householder_column,
     interleave_middle,
+    is_hermitian,
     is_unitary,
     kron,
     mat_embed_block,
@@ -47,6 +48,10 @@ def test_is_unitary_examples():
     assert not is_unitary(np.diag([1.0, 0.5]), tol)
     with pytest.raises(ValueError):
         is_unitary(np.zeros((2, 3)))
+    with pytest.raises(ValueError, match="empty"):
+        is_unitary(np.zeros((0, 0)))
+    with pytest.raises(ValueError, match="non-negative"):
+        Tolerance(-1e-12)
 
 
 def test_kron_examples():
@@ -160,3 +165,57 @@ def test_kron_associativity(seed):
 def test_unitary_submatrix_subnormalized(seed):
     u = haar_unitary(8, np.random.default_rng(seed))
     assert opnorm(mat_embed_block(u, "00", "00", 2, 1)) <= 1.0 + 1e-10
+
+
+# Expected verdict per regime of the deviation spectrum d (see _deviation_spectrum).
+DEVIATION_REGIMES = {"frobenius": True, "svd": True, "reject": False}
+
+
+def _deviation_spectrum(regime: str, dim: int, atol: float, rng) -> np.ndarray:
+    """Eigenvalues d of a deviation E = V·diag(d)·V†: ‖E‖₂ = max|d|, ‖E‖_F = ‖d‖."""
+    signs = rng.choice([-1.0, 1.0], dim)
+    if regime == "frobenius":  # ‖E‖_F ≤ 0.05·√64·atol = 0.4·atol
+        return signs * rng.uniform(0.0, 0.05, dim) * atol
+    if regime == "svd":  # ‖E‖₂ = 0.9·atol ≤ atol < ‖E‖_F = 0.9·√dim·atol
+        return signs * 0.9 * atol
+    d = signs * rng.uniform(0.0, 0.5, dim) * atol  # reject: one |d_i| = 1.1·atol
+    d[rng.integers(dim)] = 1.1 * atol * signs[0]
+    return d
+
+
+@settings(deadline=None, max_examples=60)
+@given(
+    seed=st.integers(0, 10**6),
+    dim=st.sampled_from([2, 8, 64]),
+    regime=st.sampled_from(sorted(DEVIATION_REGIMES)),
+    atol=st.floats(5e-7, 2e-6),
+)
+def test_is_unitary_matches_svd_definition(seed, dim, regime, atol):
+    # M = W·diag(√(1 + d))·V†, so both M†M − I and MM† − I have eigenvalues d
+    rng = np.random.default_rng(seed)
+    d = _deviation_spectrum(regime, dim, atol, rng)
+    w, v = haar_unitary(dim, rng), haar_unitary(dim, rng)
+    m = (w * np.sqrt(1.0 + d)) @ v.conj().T
+    eye = np.eye(dim)
+    gram_devs = (m.conj().T @ m - eye, m @ m.conj().T - eye)
+    assert (np.linalg.norm(gram_devs[0]) <= atol) == (regime == "frobenius")
+    by_svd = all(opnorm(e) <= atol for e in gram_devs)
+    assert is_unitary(m, Tolerance(atol)) == by_svd == DEVIATION_REGIMES[regime]
+
+
+@settings(deadline=None, max_examples=60)
+@given(
+    seed=st.integers(0, 10**6),
+    dim=st.sampled_from([2, 8, 64]),
+    regime=st.sampled_from(sorted(DEVIATION_REGIMES)),
+    atol=st.floats(5e-7, 2e-6),
+)
+def test_is_hermitian_matches_svd_definition(seed, dim, regime, atol):
+    # M = H + (i/2)·V·diag(d)·V†, an anti-Hermitian perturbation: M − M† = i·V·diag(d)·V†
+    rng = np.random.default_rng(seed)
+    d = _deviation_spectrum(regime, dim, atol, rng)
+    v = haar_unitary(dim, rng)
+    m = random_hermitian(dim, 0.9, rng) + 0.5j * (v * d) @ v.conj().T
+    dev = m - m.conj().T
+    assert (np.linalg.norm(dev) <= atol) == (regime == "frobenius")
+    assert is_hermitian(m, Tolerance(atol)) == (opnorm(dev) <= atol) == DEVIATION_REGIMES[regime]
