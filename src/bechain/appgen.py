@@ -10,6 +10,7 @@ needs.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
 from typing import Callable, Sequence
 
 import numpy as np
@@ -105,20 +106,18 @@ def trotter_sequence(spec: TrotterSpec) -> list[BlockEncoding]:
 
 
 def dyson_propagators(spec: DysonSpec) -> list[CMatrix]:
-    """Ξ_j over each interval by a midpoint-exponential micro-step product."""
+    """Ξ_j over each interval by a midpoint-exponential micro-step product, batched."""
     dt = spec.t_total / spec.k
     h = dt / spec.micro_steps
     out: list[CMatrix] = []
     for j in range(spec.k):
-        t0 = j * dt
-        xi = None
-        for s in range(spec.micro_steps):
-            a_mid = as_cmatrix(spec.a_of_t(t0 + (s + 0.5) * h))
-            if opnorm(a_mid) > spec.lam + 1e-8:
-                raise ValueError(f"‖A(t)‖ exceeds lam at t = {t0 + (s + 0.5) * h}")
-            step = expm(a_mid * h)
-            xi = step if xi is None else step @ xi
-        out.append(xi)
+        t_mid = [j * dt + (s + 0.5) * h for s in range(spec.micro_steps)]
+        a_mid = np.stack([as_cmatrix(spec.a_of_t(t)) for t in t_mid])
+        over = np.linalg.svd(a_mid, compute_uv=False)[:, 0] > spec.lam + 1e-8
+        if over.any():
+            raise ValueError(f"‖A(t)‖ exceeds lam at t = {t_mid[int(np.argmax(over))]}")
+        steps = expm(a_mid * h)
+        out.append(reduce(lambda xi, step: step @ xi, steps))
     return out
 
 

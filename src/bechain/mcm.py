@@ -7,7 +7,10 @@ ancilla register being outside 0^a, followed by a final m-qubit unitary Q:
     U = (Q ⊗ U_K) · Π_{i=K-1..1} [ (I⊗Π₀ + V_i⊗Π_⊥) · (I_m ⊗ U_i) ]
 
 Register layout is [measurement m][encoding ancillae a][system n], most
-significant first.  ``embe_block`` reads the ⟨0^{m+a}|·|0^{m+a}⟩ corner.
+significant first.  One column kernel carries input columns through the
+layers: ``embe_block`` carries the 2^n system columns of the corner
+⟨0^{m+a}|·|0^{m+a}⟩, ``mcm_unitary`` all of them.  The p-MACG leakage is
+summed by enumeration or by an O(K·2^p) recursion over failure-count classes.
 """
 
 from __future__ import annotations
@@ -149,26 +152,24 @@ class ErrorReport:
         }
 
 
-def _mcm_unitary_product(
-    enc_mats: Sequence[CMatrix], v_list: Sequence[CMatrix], q: CMatrix,
-    m: int, a: int, n: int,
-) -> CMatrix:
-    dm, dn = 2**m, 2**n
-    eye_m = np.eye(dm)
-    p0 = kron(proj_zero(a), np.eye(dn))
-    pp = kron(proj_perp(a), np.eye(dn))
-    out = kron(eye_m, enc_mats[0])
-    for i, v in enumerate(v_list):
-        ctrl = kron(eye_m, p0) + kron(v, pp)
-        out = kron(eye_m, enc_mats[i + 1]) @ ctrl @ out
-    return kron(q, np.eye(dn * 2**a)) @ out
+def _mcm_columns(circ: MCMCircuit, state: np.ndarray) -> np.ndarray:
+    """Carry ``state`` (encoding-register row, counter index, input column)
+    through U_1, then for each i the V_i mix on the ancilla-≠-0 rows and
+    U_{i+1}, and finally Q: O(2^{m+a+n}·c·(2^{a+n} + 2^m)) per layer.
+    """
+    rows, dn = state.shape[0], 2**circ.n
+    state = (circ.encodings[0].u @ state.reshape(rows, -1)).reshape(state.shape)
+    for v, be in zip(circ.v_list, circ.encodings[1:]):
+        state[dn:] = v @ state[dn:]
+        state = (be.u @ state.reshape(rows, -1)).reshape(state.shape)
+    return circ.q @ state
 
 
 def mcm_unitary(circ: MCMCircuit) -> CMatrix:
     """The full 2^{m+a+n} unitary implemented by the circuit."""
-    return _mcm_unitary_product(
-        [be.u for be in circ.encodings], circ.v_list, circ.q, circ.m, circ.a, circ.n
-    )
+    dim = 2 ** (circ.m + circ.a + circ.n)
+    cols = np.eye(dim, dtype=complex).reshape(2**circ.m, -1, dim).transpose(1, 0, 2)
+    return _mcm_columns(circ, cols).transpose(1, 0, 2).reshape(dim, dim)
 
 
 def raw_unitary(raw: MCMRaw) -> CMatrix:
@@ -208,9 +209,11 @@ def mcm_from_raw(raw: MCMRaw) -> MCMCircuit:
 
 
 def embe_block(circ: MCMCircuit) -> CMatrix:
-    """The 2^n block ⟨0^{m+a}| U_MCM |0^{m+a}⟩."""
+    """The 2^n block ⟨0^{m+a}| U_MCM |0^{m+a}⟩, carrying only the 2^n system columns."""
     dn = 2**circ.n
-    return mcm_unitary(circ)[:dn, :dn].copy()
+    cols = np.zeros((2 ** (circ.a + circ.n), 2**circ.m, dn), dtype=complex)
+    cols[:dn, 0, :] = np.eye(dn)
+    return _mcm_columns(circ, cols)[:dn, 0, :].copy()
 
 
 def add_unitary(p: int) -> CMatrix:
@@ -289,30 +292,28 @@ def bad_sequence_oracle(encodings: Sequence[BlockEncoding], x: str) -> CMatrix:
     return chain[:dn, :dn].copy()
 
 
-def _weight_resolved_blocks(encodings: Sequence[BlockEncoding]) -> list[CMatrix]:
-    """Σ_{|x| = w} (projector-interleaved chain), resolved by Hamming weight w.
+def _leakage_recursion(encodings: Sequence[BlockEncoding], p: int) -> CMatrix:
+    """Σ_{x ≠ 0, |x| ≡ 0 mod 2^p} S_x on the 2^n system columns, in O(K·2^p) products.
 
-    Pure block algebra on the (a+n)-qubit space; the measurement register is
-    never represented, so this is an independent route to the S_x sums.
+    Class 0 holds the chains with no failure yet, class 1 + r those with a
+    failure count ≥ 1 and ≡ r mod 2^p.  A measurement keeps each class's
+    ancilla-0 rows and moves its ancilla-≠-0 rows one class on.  No counter
+    register and no V's: an independent route to the S_x sums.
     """
     encs = [normalize_selectors(be) for be in encodings]
     n, a = _common_registers(encs)
-    dn = 2**n
-    p0 = kron(proj_zero(a), np.eye(dn))
-    pp = kron(proj_perp(a), np.eye(dn))
-    layers: list[CMatrix] = [encs[0].u]
-    for i in range(1, len(encs)):
-        u = encs[i].u
-        nxt: list[CMatrix] = []
-        for w in range(len(layers) + 1):
-            acc = np.zeros_like(layers[0])
-            if w < len(layers):
-                acc = acc + u @ (p0 @ layers[w])
-            if w >= 1:
-                acc = acc + u @ (pp @ layers[w - 1])
-            nxt.append(acc)
-        layers = nxt
-    return [mat[:dn, :dn].copy() for mat in layers]
+    dn, period = 2**n, 2**p
+    if period >= len(encs):  # K − 1 measurements never fail 2^p times
+        return np.zeros((dn, dn), dtype=complex)
+    classes = np.zeros((period + 1, 2 ** (a + n), dn), dtype=complex)
+    classes[0] = encs[0].u[:, :dn]
+    for be in encs[1:]:
+        failed = classes[:, dn:, :].copy()
+        classes[1:, dn:, :] = np.roll(failed[1:], 1, axis=0)
+        classes[1 + 1 % period, dn:, :] += failed[0]  # a first failure: count 1
+        classes[0, dn:, :] = 0.0
+        classes = be.u @ classes
+    return classes[1, :dn, :].copy()
 
 
 def sum_bad_sequences(
@@ -323,30 +324,28 @@ def sum_bad_sequences(
     """Σ_{x ≠ 0, |x| ≡ 0 mod 2^p} S_x — the p-MACG's exact leakage matrix.
 
     ``enumerate`` sums :func:`bad_sequence_oracle` over qualifying strings
-    (capped at K ≤ 17); ``recursion`` uses the weight-resolved block sums.
+    (capped at K ≤ 17); ``recursion`` carries the 2^n system columns through
+    2^p + 1 classes — no failure yet, or the failure count mod 2^p — in
+    O(K·2^p) block products.
     """
+    if p < 0:
+        raise ValueError("p must be non-negative")
     k = len(encodings)
     if method == "auto":
         method = "enumerate" if k <= 10 else "recursion"
-    period = 2**p
+    if method == "recursion":
+        return _leakage_recursion(encodings, p)
+    if method != "enumerate":
+        raise ValueError(f"unknown method {method!r}")
+    if k > ENUMERATION_CAP:
+        raise ValueError(f"enumeration capped at K <= {ENUMERATION_CAP}")
     dn = 2 ** encodings[0].n
     total = np.zeros((dn, dn), dtype=complex)
-    if method == "enumerate":
-        if k > ENUMERATION_CAP:
-            raise ValueError(f"enumeration capped at K <= {ENUMERATION_CAP}")
-        for w in range(period, k, period):
-            for bad in combinations(range(k - 1), w):
-                bits = ["0"] * (k - 1)
-                for b in bad:
-                    bits[b] = "1"
-                total += bad_sequence_oracle(encodings, "".join(bits))
-        return total
-    if method == "recursion":
-        blocks = _weight_resolved_blocks(encodings)
-        for w in range(period, k, period):
-            total += blocks[w]
-        return total
-    raise ValueError(f"unknown method {method!r}")
+    for w in range(2**p, k, 2**p):
+        for bad in combinations(range(k - 1), w):
+            x = "".join("1" if i in bad else "0" for i in range(k - 1))
+            total += bad_sequence_oracle(encodings, x)
+    return total
 
 
 def gadget_error_exact(circ: MCMCircuit, target: np.ndarray) -> float:

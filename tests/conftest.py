@@ -1,3 +1,11 @@
+import os
+
+# Pin BLAS to one thread before numpy loads: on a small host, OpenBLAS
+# threads compete with each other and with any neighbouring process, and the
+# timed acceptance criteria then measure the contention instead of the code.
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ[_var] = "1"
+
 import pytest
 
 

@@ -247,6 +247,23 @@ def test_enumeration_matches_recursion():
             sum_bad_sequences(encs, p, "enumerate") - sum_bad_sequences(encs, p, "recursion")
         )
         assert d <= 1e-12
+    # p = 3 at K = 9, 10: weight 8 exists, so the failure count wraps mod 8
+    for k in (9, 10):
+        encs = near_identity_set(k, 0.5, 300)
+        enum = sum_bad_sequences(encs, 3, "enumerate")
+        assert opnorm(enum) > 1e-6
+        assert opnorm(enum - sum_bad_sequences(encs, 3, "recursion")) <= 1e-12
+
+
+def test_recursion_matches_corner_at_scale():
+    # the class recursion against the column kernel's EMBE corner, two routes
+    # that share no code, at a K the enumeration cannot reach
+    encs = near_identity_set(1024, 0.5, 900)
+    target = block_product(encs)
+    for p in (1, 2, 3):
+        leak = sum_bad_sequences(encs, p, "recursion")
+        assert opnorm(leak) > 1e-6
+        assert opnorm(leak - (embe_block(gadget_pmacg(encs, p)) - target)) <= 1e-12
 
 
 # --- the closed-form bound and its regime ------------------------------------
@@ -418,6 +435,38 @@ def test_sum_bad_sequences_validation():
     encs = near_identity_set(4, 0.5, 800)
     with pytest.raises(ValueError, match="unknown method"):
         sum_bad_sequences(encs, 1, "bogus")
+    with pytest.raises(ValueError, match="non-negative"):
+        sum_bad_sequences(encs, -1, "recursion")
+    # 2^p above K − 1: no string qualifies, and no 2^p classes are allocated
+    for method in ("enumerate", "recursion"):
+        assert not sum_bad_sequences(encs, 40, method).any()
+
+
+def kron_reference_unitary(circ: MCMCircuit) -> np.ndarray:
+    """The circuit as a product of full-register operators, built with kron."""
+    dm, dn = 2**circ.m, 2**circ.n
+    p0 = kron(np.diag([1.0] + [0.0] * (2**circ.a - 1)), np.eye(dn))
+    pp = np.eye(2**circ.a * dn) - p0
+    out = kron(np.eye(dm), circ.encodings[0].u)
+    for v, be in zip(circ.v_list, circ.encodings[1:]):
+        ctrl = kron(np.eye(dm), p0) + kron(v, pp)
+        out = kron(np.eye(dm), be.u) @ ctrl @ out
+    return kron(circ.q, np.eye(2**circ.a * dn)) @ out
+
+
+@settings(deadline=None, max_examples=25)
+@given(k=st.integers(2, 6), m=st.integers(1, 3), seed=st.integers(0, 10**6))
+def test_mcm_unitary_matches_kron_reference(k, m, seed):
+    rng = np.random.default_rng(seed)
+    circ = MCMCircuit(
+        tuple(random_encodings(k, seed)), m,
+        tuple(haar_unitary(2**m, rng) for _ in range(k - 1)),
+        haar_unitary(2**m, rng),
+    )
+    expected = kron_reference_unitary(circ)
+    assert opnorm(mcm_unitary(circ) - expected) <= 1e-12
+    assert opnorm(embe_block(circ) - expected[:2, :2]) <= 1e-13
+
 
 @settings(deadline=None, max_examples=10)
 @given(seed=st.integers(0, 10**6))
