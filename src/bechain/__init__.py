@@ -67,7 +67,6 @@ from .oaa import (
     AAProblem,
     BoostReport,
     grover_boost,
-    oaa_ambe,
     oaa_boost_report,
     reflect_initial,
     reflect_signal,

@@ -29,6 +29,7 @@ from .linalg import (
     is_hermitian,
     is_unitary,
     opnorm,
+    select_qubit,
 )
 
 _PAULIS = {"X": PAULI_X, "Y": PAULI_Y, "Z": PAULI_Z}
@@ -81,10 +82,7 @@ def controlled_embedding(u_step: CMatrix) -> BlockEncoding:
     """|0⟩⟨0|⊗U + |1⟩⟨1|⊗I: a 1-ancilla encoding inheriting ‖I−U‖ exactly."""
     u = as_cmatrix(u_step)
     dim = u.shape[0]
-    full = np.zeros((2 * dim, 2 * dim), dtype=complex)
-    full[:dim, :dim] = u
-    full[dim:, dim:] = np.eye(dim)
-    return BlockEncoding(full, 1, int(np.log2(dim)))
+    return BlockEncoding(select_qubit([[u, None], [None, np.eye(dim)]]), 1, int(np.log2(dim)))
 
 
 def trotter_sequence(spec: TrotterSpec) -> list[BlockEncoding]:

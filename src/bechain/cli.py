@@ -356,61 +356,53 @@ def _parse_float_list(text: str) -> tuple[float, ...]:
     return tuple(float(tok) for tok in text.split(",") if tok)
 
 
+# The flags each subcommand's row builder reads, with their defaults; every
+# subcommand also takes --seed, --out and --format.
+_SUBCOMMAND_FLAGS = {
+    "uncompute": dict(delta=0.25, eps="1e-2", trials=3, n=1, a=2),
+    "macg-sweep": dict(K="8,16,32", p="1,2", c=0.5, trials=5, n=1, a=1),
+    "ecg-verify": dict(K="2..8", trials=10, n=1, a=1),
+    "lb-probe": dict(K="3,4", trials=3, n=2, a=1, m=1, restarts=20),
+    "oaa-demo": dict(K="8", p="1", c=0.5, trials=10, n=1, a=1),
+    "gen-trotter": dict(K="16", trials=1, t=1.0),
+    "gen-dyson": dict(K="16", trials=1, t=1.0, config=None),
+}
+# flag -> (RunConfig field, parser, help)
+_FLAGS = {
+    "K": ("k_list", _parse_int_list, "comma list or lo..hi range"),
+    "p": ("p_list", _parse_int_list, "comma list of p values"),
+    "c": ("c", float, None),
+    "delta": ("delta", float, None),
+    "eps": ("eps_list", _parse_float_list, "comma list of target errors"),
+    "n": ("n", int, None),
+    "a": ("a", int, None),
+    "trials": ("trials", int, None),
+    "m": ("m", int, None),
+    "restarts": ("restarts", int, None),
+    "t": ("t_total", float, None),
+    "config": ("config_path", str, "JSON generator family"),
+}
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="bechain",
         description="verification sweeps for block-encoding pipelines and gadgets",
     )
     sub = parser.add_subparsers(dest="subcommand", required=True)
-    defaults = {
-        "uncompute": dict(K="8", p="1", eps="1e-2", trials=3, n=1, a=2),
-        "macg-sweep": dict(K="8,16,32", p="1,2", eps="1e-2", trials=5, n=1, a=1),
-        "ecg-verify": dict(K="2..8", p="1", eps="1e-2", trials=10, n=1, a=1),
-        "lb-probe": dict(K="3,4", p="1", eps="1e-2", trials=3, n=2, a=1),
-        "oaa-demo": dict(K="8", p="1", eps="1e-2", trials=10, n=1, a=1),
-        "gen-trotter": dict(K="16", p="1", eps="1e-2", trials=1, n=1, a=1),
-        "gen-dyson": dict(K="16", p="1", eps="1e-2", trials=1, n=1, a=1),
-    }
     for name in SUBCOMMANDS:
-        d = defaults[name]
         sp = sub.add_parser(name)
-        sp.add_argument("--K", default=d["K"], help="comma list or lo..hi range")
-        sp.add_argument("--p", default=d["p"], help="comma list of p values")
-        sp.add_argument("--c", type=float, default=0.5)
-        sp.add_argument("--delta", type=float, default=0.25)
-        sp.add_argument("--eps", default=d["eps"], help="comma list of target errors")
-        sp.add_argument("--n", type=int, default=d["n"])
-        sp.add_argument("--a", type=int, default=d["a"])
-        sp.add_argument("--trials", type=int, default=d["trials"])
-        sp.add_argument("--m", type=int, default=1)
-        sp.add_argument("--restarts", type=int, default=20)
-        sp.add_argument("--t", type=float, default=1.0, dest="t_total")
+        for flag, default in _SUBCOMMAND_FLAGS[name].items():
+            dest, parse, text = _FLAGS[flag]
+            sp.add_argument(f"--{flag}", dest=dest, type=parse, default=default, help=text)
         sp.add_argument("--seed", type=int, default=0)
         sp.add_argument("--out", default="-", dest="out_path")
         sp.add_argument("--format", default="csv", choices=("csv", "json"), dest="fmt")
-        sp.add_argument("--config", default=None, dest="config_path")
     return parser
 
 
 def config_from_args(args: argparse.Namespace) -> RunConfig:
-    return RunConfig(
-        subcommand=args.subcommand,
-        seed=args.seed,
-        out_path=args.out_path,
-        fmt=args.fmt,
-        k_list=_parse_int_list(args.K),
-        p_list=_parse_int_list(args.p),
-        c=args.c,
-        delta=args.delta,
-        eps_list=_parse_float_list(args.eps),
-        n=args.n,
-        a=args.a,
-        trials=args.trials,
-        m=args.m,
-        restarts=args.restarts,
-        t_total=args.t_total,
-        config_path=args.config_path,
-    )
+    return RunConfig(**vars(args))
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:

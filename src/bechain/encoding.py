@@ -20,6 +20,7 @@ from .linalg import (
     PAULI_Z,
     Tolerance,
     as_cmatrix,
+    bit_index,
     haar_unitary,
     herm_funcmat,
     is_hermitian,
@@ -28,6 +29,7 @@ from .linalg import (
     mat_embed_block,
     opnorm,
     random_hermitian,
+    select_qubit,
     sqrt_one_minus_sq,
 )
 
@@ -103,8 +105,12 @@ def verify_encoding(be: BlockEncoding, target: np.ndarray) -> float:
 
 
 def deviation(be: BlockEncoding) -> float:
-    """Operator-norm distance of the encoding unitary from the identity."""
-    return opnorm(be.u - np.eye(be.dim))
+    """‖U − I‖ for the unitary a gadget multiplies: U with its selectors at 0^a.
+
+    A dilation read at ⟨1|·|0⟩ of a near-identity A is far from I itself, but
+    its selector-normalized form is as close to I as A is.
+    """
+    return opnorm(normalize_selectors(be).u - np.eye(be.dim))
 
 
 def deviation_profile(encodings: Sequence[BlockEncoding]) -> DeviationProfile:
@@ -112,22 +118,17 @@ def deviation_profile(encodings: Sequence[BlockEncoding]) -> DeviationProfile:
     return DeviationProfile(tuple(deviation(be) for be in encodings))
 
 
-def _x_string(bits: str) -> CMatrix:
-    ops = [PAULI_X if b == "1" else np.eye(2, dtype=complex) for b in bits]
-    out = np.eye(1, dtype=complex)
-    for op in ops:
-        out = np.kron(out, op)
-    return out
-
-
 def normalize_selectors(be: BlockEncoding) -> BlockEncoding:
-    """Conjugate with X^{b} on the ancillae so the block sits at 0^a/0^a."""
+    """Conjugate with X^{b} on the ancillae so the block sits at 0^a/0^a.
+
+    X^{bra}·U·X^{ket} is the index permutation U[r ⊕ bra, c ⊕ ket], taken exactly.
+    """
     if be.bra_sel == "0" * be.a and be.ket_sel == "0" * be.a:
         return be
-    eye_n = np.eye(2**be.n)
-    left = kron(_x_string(be.bra_sel), eye_n)
-    right = kron(_x_string(be.ket_sel), eye_n)
-    return BlockEncoding(left @ be.u @ right, be.a, be.n, be.alpha, be.eps)
+    idx = np.arange(be.dim)
+    bra = bit_index(be.bra_sel) << be.n
+    ket = bit_index(be.ket_sel) << be.n
+    return BlockEncoding(be.u[np.ix_(idx ^ bra, idx ^ ket)], be.a, be.n, be.alpha, be.eps)
 
 
 def dilate_hermitian(h: np.ndarray, tol: Tolerance = DEFAULT_TOL) -> BlockEncoding:
@@ -158,13 +159,8 @@ def dilate_general(a_mat: np.ndarray) -> BlockEncoding:
     root = np.sqrt(np.clip(1.0 - sig**2, 0.0, None))
     sqrt_ata = (vh.conj().T * root) @ vh       # √(I − A†A)
     sqrt_aat = (w * root) @ w.conj().T         # √(I − AA†)
-    dim = arr.shape[0]
-    u = np.zeros((2 * dim, 2 * dim), dtype=complex)
-    u[:dim, :dim] = sqrt_ata
-    u[:dim, dim:] = arr.conj().T
-    u[dim:, :dim] = arr
-    u[dim:, dim:] = -sqrt_aat
-    n = int(np.log2(dim))
+    u = select_qubit([[sqrt_ata, arr.conj().T], [arr, -sqrt_aat]])
+    n = int(np.log2(arr.shape[0]))
     return BlockEncoding(u, 1, n, bra_sel="1", ket_sel="0")
 
 

@@ -20,16 +20,14 @@ from .encoding import BlockEncoding, normalize_selectors, pad_ancillas
 from .linalg import (
     CMatrix,
     DEFAULT_TOL,
-    PAULI_X,
-    PAULI_Z,
     as_cmatrix,
     dagger,
-    interleave_middle,
     is_hermitian,
     is_unitary,
     kron,
     householder_column,
     proj_zero,
+    select_qubit,
 )
 
 SIN_PI_14 = float(np.sin(np.pi / 14.0))
@@ -118,13 +116,9 @@ def pair_select(w1: float, t1: CMatrix, w2: float, t2: CMatrix) -> CMatrix:
     t2 = as_cmatrix(t2)
     if t1.shape != t2.shape:
         raise ValueError("branch dimensions differ")
-    dim = t1.shape[0]
-    select = np.zeros((2 * dim, 2 * dim), dtype=complex)
-    select[:dim, :dim] = t1
-    select[dim:, dim:] = t2
     p_l, p_r = _asym_prep_pair(w1, w2)
-    eye = np.eye(dim)
-    return kron(p_l, eye) @ select @ kron(p_r, eye)
+    eye = np.eye(t1.shape[0])
+    return kron(p_l, eye) @ select_qubit([[t1, None], [None, t2]]) @ kron(p_r, eye)
 
 
 def reflect_about_zero(a: int, n: int) -> CMatrix:
@@ -140,13 +134,19 @@ def lcu_i_minus_h2(vh: BlockEncoding) -> BlockEncoding:
     realizes the weights (1/4, −1/4), giving ¼(I − (2H²−I)) = (I−H²)/2.
     """
     enc = normalize_selectors(vh)
-    h = enc.block()
-    if not is_hermitian(h, DEFAULT_TOL):
+    if not is_hermitian(enc.block(), DEFAULT_TOL):
         raise ValueError("encoded block is not Hermitian")
-    refl = reflect_about_zero(enc.a, enc.n)
-    m = dagger(enc.u) @ refl @ enc.u
-    u_out = pair_select(0.25, np.eye(enc.dim), -0.25, m)
-    return BlockEncoding(u_out, enc.a + 1, enc.n)
+    return _i_minus_gram(enc.u, enc.a, enc.n)
+
+
+def _i_minus_gram(u: CMatrix, a: int, n: int) -> BlockEncoding:
+    """Exact (1, a+1, 0)-encoding of (I − M†M)/2 for M = ⟨0^a|U|0^a⟩, any M.
+
+    U† (2Π_{0^a} − I) U has block 2M†M − I; passing U† instead of U gives
+    (I − MM†)/2.  Two queries to U per application.
+    """
+    m = dagger(u) @ reflect_about_zero(a, n) @ u
+    return BlockEncoding(pair_select(0.25, np.eye(2 ** (a + n)), -0.25, m), a + 1, n)
 
 
 def lcu_w_uh(vh: BlockEncoding, vsqrt: BlockEncoding) -> BlockEncoding:
@@ -164,8 +164,8 @@ def lcu_w_uh(vh: BlockEncoding, vsqrt: BlockEncoding) -> BlockEncoding:
     enc_h = pad_ancillas(enc_h, a2)
     enc_s = pad_ancillas(enc_s, a2)
     # register layout: [prep 1][anc a2][dilation qubit][n]
-    t1 = interleave_middle(enc_s.u, PAULI_X, split=a2)
-    t2 = interleave_middle(enc_h.u, PAULI_Z, split=a2)
+    t1 = select_qubit([[None, enc_s.u], [enc_s.u, None]], split=a2)  # X on the dilation qubit
+    t2 = select_qubit([[enc_h.u, None], [None, -enc_h.u]], split=a2)  # Z on the dilation qubit
     s = SIN_PI_14
     w = pair_select(math.sqrt(8.0) * s, t1, s, t2)
     eps_out = math.sqrt(8.0) * s * enc_s.eps + enc_h.eps

@@ -10,7 +10,7 @@ state on ``a`` ancilla qubits and ``n`` system qubits is indexed as
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 import numpy.typing as npt
@@ -73,15 +73,15 @@ def _opnorm_within(dev: CMatrix, atol: float) -> bool:
 
 
 def is_unitary(m: npt.ArrayLike, tol: Tolerance = DEFAULT_TOL) -> bool:
-    """True iff ``‖M†M − I‖ ≤ atol`` and ``‖MM† − I‖ ≤ atol``."""
+    """True iff ``‖M†M − I‖ ≤ atol``.
+
+    For square M this also decides ``‖MM† − I‖ ≤ atol``: the two deviations
+    have the same spectrum, so one Gram product suffices.
+    """
     arr = as_cmatrix(m)
     if arr.shape[0] != arr.shape[1]:
         raise ValueError(f"non-square matrix of shape {arr.shape}")
-    eye = np.eye(arr.shape[0])
-    return (
-        _opnorm_within(arr.conj().T @ arr - eye, tol.atol)
-        and _opnorm_within(arr @ arr.conj().T - eye, tol.atol)
-    )
+    return _opnorm_within(arr.conj().T @ arr - np.eye(arr.shape[0]), tol.atol)
 
 
 def is_hermitian(m: npt.ArrayLike, tol: Tolerance = DEFAULT_TOL) -> bool:
@@ -197,29 +197,36 @@ def permute_qubits(u: npt.ArrayLike, order: Sequence[int]) -> CMatrix:
         raise ValueError("operator size does not match the qubit count")
     if sorted(order) != list(range(nq)):
         raise ValueError(f"not a permutation: {order}")
+    new_idx = np.arange(2**nq)
     src = np.zeros(2**nq, dtype=np.int64)
-    for new_idx in range(2**nq):
-        old_idx = 0
-        for q in range(nq):
-            bit = (new_idx >> (nq - 1 - q)) & 1
-            old_idx |= bit << (nq - 1 - order[q])
-        src[new_idx] = old_idx
+    for q, old in enumerate(order):
+        src |= ((new_idx >> (nq - 1 - q)) & 1) << (nq - 1 - old)
     return arr[np.ix_(src, src)]
 
 
-def interleave_middle(op_main: npt.ArrayLike, op_mid: npt.ArrayLike, split: int) -> CMatrix:
-    """Tensor ``op_mid`` (one qubit) between qubit ``split-1`` and ``split`` of op_main.
+def select_qubit(blocks: Sequence[Sequence[Optional[npt.ArrayLike]]], split: int = 0) -> CMatrix:
+    """Σᵢⱼ |i⟩⟨j| ⊗ blocks[i][j] for a 2×2 grid of k-qubit blocks (``None`` = 0).
 
-    ``op_main`` acts on ``k`` qubits; the result acts on ``k+1`` qubits laid out
-    as [first ``split`` qubits of op_main][op_mid qubit][rest of op_main].
+    The new qubit sits at position ``split``: the result acts on k+1 qubits
+    laid out as [first ``split`` block qubits][new qubit][rest of the block].
     """
-    main = as_cmatrix(op_main)
-    k = int(np.log2(main.shape[0]))
-    if 2**k != main.shape[0]:
-        raise ValueError("operator dimension is not a power of two")
-    raw = kron(main, op_mid)  # layout: [main k qubits][mid]
-    order = list(range(split)) + [k] + list(range(split, k))
-    return permute_qubits(raw, order)
+    given = [as_cmatrix(b) for row in blocks for b in row if b is not None]
+    if len(blocks) != 2 or any(len(row) != 2 for row in blocks) or not given:
+        raise ValueError("need a 2x2 grid of blocks with at least one nonzero block")
+    dim = given[0].shape[0]
+    k = dim.bit_length() - 1
+    if dim != 2**k or any(b.shape != (dim, dim) for b in given):
+        raise ValueError("blocks must be square, of one power-of-two dimension")
+    if not 0 <= split <= k:
+        raise ValueError(f"split {split} outside 0..{k}")
+    out = np.zeros((2 * dim, 2 * dim), dtype=complex)
+    for i, row in enumerate(blocks):
+        for j, b in enumerate(row):
+            if b is not None:
+                out[i * dim : (i + 1) * dim, j * dim : (j + 1) * dim] = b
+    if split == 0:
+        return out
+    return permute_qubits(out, list(range(1, split + 1)) + [0] + list(range(split + 1, k + 1)))
 
 
 def householder_column(v: npt.ArrayLike) -> CMatrix:

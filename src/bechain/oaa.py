@@ -106,9 +106,18 @@ def _prepare_unitary(psi: np.ndarray) -> CMatrix:
     return householder_column(vec / norm)
 
 
-def _boost_mcm(
-    circ: MCMCircuit, target: np.ndarray, input_state: np.ndarray, k: Optional[int]
-) -> tuple[np.ndarray, BoostReport]:
+def oaa_boost_report(
+    circ: MCMCircuit, target: np.ndarray, input_state: np.ndarray,
+    k: Optional[int] = None,
+) -> BoostReport:
+    """Boost an (approximate) multiplication circuit, post-select, and report.
+
+    The report holds the signal amplitude before and after G^k, the iteration
+    count, and the fidelity of the normalized post-selected system state with
+    the exact A_[K]|ψ⟩ direction.  That direction is invariant under the
+    Grover rotation, so the fidelity is governed by the gadget error;
+    boosting raises the signal probability.
+    """
     eps = gadget_error_exact(circ, target)
     if eps >= 1.0:
         raise ValueError("gadget error must be below 1 for OAA to make sense")
@@ -128,28 +137,4 @@ def _boost_mcm(
     post = state[: 2**circ.n]
     post = post / np.linalg.norm(post)
     fidelity = float(np.abs(np.vdot(good, post)) ** 2)
-    report = BoostReport(alpha_before, k_used, float(np.sqrt(prob_after)), fidelity)
-    return post, report
-
-
-def oaa_ambe(
-    circ: MCMCircuit, target: np.ndarray, input_state: np.ndarray,
-    k: Optional[int] = None,
-) -> tuple[np.ndarray, float]:
-    """Boost an (approximate) multiplication circuit and post-select.
-
-    Returns the normalized post-selected system state and its fidelity with
-    the exact A_[K]|ψ⟩ direction.  The post-selected direction is invariant
-    under the Grover rotation, so the fidelity is governed by the gadget
-    error; boosting raises the signal probability.
-    """
-    state, report = _boost_mcm(circ, target, input_state, k)
-    return state, report.fidelity
-
-
-def oaa_boost_report(
-    circ: MCMCircuit, target: np.ndarray, input_state: np.ndarray,
-    k: Optional[int] = None,
-) -> BoostReport:
-    """Like :func:`oaa_ambe`, with the amplitudes and iteration count recorded."""
-    return _boost_mcm(circ, target, input_state, k)[1]
+    return BoostReport(alpha_before, k_used, float(np.sqrt(prob_after)), fidelity)

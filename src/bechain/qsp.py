@@ -20,7 +20,7 @@ from numpy.polynomial import chebyshev as np_cheb
 from scipy.optimize import least_squares, linprog
 
 from .encoding import BlockEncoding, normalize_selectors
-from .linalg import CMatrix, HADAMARD, kron
+from .linalg import CMatrix, HADAMARD, kron, select_qubit
 
 MAX_DEGREE = 512
 _QSP_SUP_LIMIT = 1.0 - 1e-6
@@ -430,29 +430,28 @@ def _qsvt_product(
     return gphase * out
 
 
-def qsvt_apply(phi: PhaseFactors, be: BlockEncoding) -> BlockEncoding:
+def qsvt_apply(
+    phi: PhaseFactors, be: BlockEncoding, on_query: Optional[Callable[[], None]] = None
+) -> BlockEncoding:
     """Apply the solved polynomial to the singular values of be's block.
 
     Returns an encoding with one extra ancilla whose block is the real target
     polynomial applied to the block's singular values — W·P(Σ)·V† for odd
     parity, V·P(Σ)·V† for even — which for Hermitian blocks is the spectral
     application P(M).  The ±Φ sequences are averaged via a Hadamard-conjugated
-    select on the new qubit to extract the real part.
+    select on the new qubit to extract the real part.  ``on_query`` fires once
+    per U/U† application (the all-zero phase vector needs one sequence only).
     """
     d = phi.degree
     if phi.parity != ("even" if d % 2 == 0 else "odd"):
         raise ValueError("phase parity does not match the sequence length")
     enc = normalize_selectors(be)
     block_dim = 2**enc.n
-    seq_plus = _qsvt_product(enc.u, block_dim, phi.phases)
+    seq_plus = _qsvt_product(enc.u, block_dim, phi.phases, on_query)
     if np.all(np.abs(phi.phases) < 1e-15):
         u_out = kron(np.eye(2), seq_plus)
     else:
-        seq_minus = _qsvt_product(enc.u, block_dim, -phi.phases)
-        dim = seq_plus.shape[0]
-        select = np.zeros((2 * dim, 2 * dim), dtype=complex)
-        select[:dim, :dim] = seq_plus
-        select[dim:, dim:] = seq_minus
-        had = kron(HADAMARD, np.eye(dim))
-        u_out = had @ select @ had
+        seq_minus = _qsvt_product(enc.u, block_dim, -phi.phases, on_query)
+        had = kron(HADAMARD, np.eye(seq_plus.shape[0]))
+        u_out = had @ select_qubit([[seq_plus, None], [None, seq_minus]]) @ had
     return BlockEncoding(u_out, enc.a + 1, enc.n, 1.0, enc.eps + phi.residual)

@@ -1,18 +1,23 @@
 """End-to-end ancilla uncomputation: (1, a, 0) → (1, 1, ε) block encodings.
 
-Pipeline (Hermitian input H, ‖H‖ ≤ 1−δ):
+Pipeline (input M = H Hermitian, or M = A general, ‖M‖ ≤ 1−δ):
 
-1. exact encoding of (I−H²)/2 (two V_H queries per application);
-2. QSVT with a minimax ½√x polynomial → √(I−H²)/√8 within ε/9;
-3. sub-normalized LCU with V_H → sin(π/14)·U_H within ε/14, where
-   U_H = Z⊗H + X⊗√(I−H²) is the Hermitian unitary dilation;
+1. exact encodings of (I−M†M)/2, and for general A also (I−AA†)/2 (two
+   queries per application);
+2. QSVT with a minimax ½√x polynomial → √(I−M†M)/√8 (and √(I−AA†)/√8)
+   within ε/9;
+3. sub-normalized LCU with the input → sin(π/14)·U within ε/14, where U is
+   the unitary dilation: U_H = Z⊗H + X⊗√(I−H²), or
+   U_A = [[√(I−A†A), A†], [A, −√(I−AA†)]];
 4. amplitude amplification by the degree-7 Chebyshev QSVT
-   (T₇(sin(π/14)) = −1), then a global sign flip → U_H within ε;
+   (T₇(sin(π/14)) = −1), then a global sign flip → U within ε;
 5. the amplified unitary, with every working ancilla selected at 0, is the
-   single-ancilla encoding of H (the dilation qubit is the one ancilla left).
+   single-ancilla encoding of M (the dilation qubit is the one ancilla left).
 
-Query counting is oracle-style: every application of a W/W† factor in the
-top-level amplification product adds the number of V_H/V_H† uses embedded in
+Both cases run through one core, :func:`_uncompute`; the Hermitian case takes
+one square root where the general case takes two.  Query counting is
+oracle-style: every application of a W/W† factor in the top-level
+amplification product adds the number of input-encoding uses embedded in
 that factor, so the counter equals the dense-multiplication count of the
 fully unrolled circuit.
 """
@@ -22,11 +27,18 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import Callable
 
 import numpy as np
 
-from .encoding import BlockEncoding, dilate_hermitian, normalize_selectors, verify_encoding
-from .lcu import SIN_PI_14, lcu_i_minus_h2, lcu_w_uh, pair_select, reflect_about_zero
+from .encoding import (
+    BlockEncoding,
+    dilate_general,
+    dilate_hermitian,
+    normalize_selectors,
+    verify_encoding,
+)
+from .lcu import SIN_PI_14, _i_minus_gram, lcu_w_uh, pair_select
 from .linalg import (
     CMatrix,
     DEFAULT_TOL,
@@ -37,9 +49,9 @@ from .linalg import (
     is_unitary,
     mat_embed_block,
     opnorm,
-    permute_qubits,
+    select_qubit,
 )
-from .qsp import ChebPoly, PhaseFactors, _qsvt_product, approx_half_sqrt, solve_phases
+from .qsp import ChebPoly, PhaseFactors, _qsvt_product, approx_half_sqrt, qsvt_apply, solve_phases
 
 OAA_ORDER = 7  # amplification degree is pinned by T₇(sin(π/14)) = −1
 
@@ -57,7 +69,12 @@ class EpsilonExceededError(RuntimeError):
 
 @dataclass(frozen=True)
 class UncomputeReport:
-    """Accuracy and cost bookkeeping for one uncomputation run."""
+    """Accuracy and cost bookkeeping for one uncomputation run.
+
+    Besides the final block error, two stage errors are measured against the
+    dilation U the pipeline targets: ``eps_w`` = ‖blk(W) − sin(π/14)·U‖
+    (budget ε/14) and ``eps_dilation`` = ‖U_amplified − U‖ (budget ε).
+    """
 
     eps_requested: float
     eps_measured: float
@@ -66,6 +83,8 @@ class UncomputeReport:
     ancillae_peak: int
     ancillae_final: int = 1
     qsvt_degree: int = 0
+    eps_w: float = 0.0
+    eps_dilation: float = 0.0
 
     def __post_init__(self) -> None:
         if self.eps_measured > self.eps_requested:
@@ -83,16 +102,6 @@ class UncomputeReport:
         }
 
 
-class _QueryCounter:
-    __slots__ = ("total",)
-
-    def __init__(self) -> None:
-        self.total = 0
-
-    def add(self, k: int) -> None:
-        self.total += k
-
-
 @lru_cache(maxsize=64)
 def _half_sqrt_solution(delta_eff: float, eta: float) -> tuple[ChebPoly, PhaseFactors]:
     poly = approx_half_sqrt(delta_eff, eta)
@@ -100,90 +109,88 @@ def _half_sqrt_solution(delta_eff: float, eta: float) -> tuple[ChebPoly, PhaseFa
 
 
 def _spectral_floor(delta: float) -> float:
-    # spectrum of (I−H²)/2 lies in [(1−(1−δ)²)/2, 1/2]
+    # spectrum of (I−M†M)/2 lies in [(1−(1−δ)²)/2, 1/2]
     return (1.0 - (1.0 - delta) ** 2) / 2.0
 
 
-def _sqrt_qsvt(step1: BlockEncoding, phases: PhaseFactors, counter: _QueryCounter,
-               weight: int) -> BlockEncoding:
-    """Step 2: two-branch QSVT of the ½√x phases, counting oracle uses."""
-    block_dim = 2**step1.n
-    seq_plus = _qsvt_product(step1.u, block_dim, phases.phases,
-                             on_query=lambda: counter.add(weight))
-    seq_minus = _qsvt_product(step1.u, block_dim, -phases.phases,
-                              on_query=lambda: counter.add(weight))
-    dim = seq_plus.shape[0]
-    select = np.zeros((2 * dim, 2 * dim), dtype=complex)
-    select[:dim, :dim] = seq_plus
-    select[dim:, dim:] = seq_minus
-    had = np.kron(np.array([[1, 1], [1, -1]]) / np.sqrt(2.0), np.eye(dim))
-    return BlockEncoding(had @ select @ had, step1.a + 1, step1.n)
-
-
-def _amplify_t7(w_be: BlockEncoding, counter: _QueryCounter, weight: int) -> CMatrix:
-    """Step 4: zero-phase (Chebyshev T₇) QSVT on W, then the global sign fix."""
-    zero = np.zeros(OAA_ORDER + 1)
-    amp = _qsvt_product(w_be.u, 2**w_be.n, zero, on_query=lambda: counter.add(weight))
-    return -amp
-
-
-def uncompute_hermitian(
-    vh: BlockEncoding, delta: float, eps: float, debug: bool = False
+def _uncompute(
+    enc: BlockEncoding,
+    delta: float,
+    eps: float,
+    grams: list[CMatrix],
+    build_w: Callable[[list[BlockEncoding]], BlockEncoding],
+    dilate: Callable[[CMatrix], BlockEncoding],
+    bra: str,
 ) -> tuple[BlockEncoding, UncomputeReport]:
-    """Map a (1, a, 0)-encoding of Hermitian H (‖H‖ ≤ 1−δ) to a (1, 1, ε) one.
+    """Steps 1–5 on a selector-normalized encoding of M.
 
-    Returns the amplified encoding (all working ancillae selected at 0, the
-    dilation qubit being the single surviving ancilla) plus a report.  Raises
-    :class:`EpsilonExceededError` if the measured error misses ``eps``.  With
-    ``debug`` the intermediate error-budget claims are asserted in place.
-
-    Inputs declaring a nonzero error are accepted: the pipeline targets the
-    encoding's actual block, so an input inexactness of ε₀ inflates the
-    guarantee against the intended matrix by up to ε₀ per query.
+    ``grams`` holds the unitaries V whose (I − blk(V)†blk(V))/2 steps get the
+    ½√x QSVT, each V being used once more bare inside W; ``build_w`` turns
+    those square roots into W ≈ sin(π/14)·U with U = ``dilate(M).u``; ``bra``
+    is the result's selector on the dilation qubit.
     """
     if not 0.0 < delta <= 1.0:
         raise ValueError("delta must lie in (0, 1]")
     if not 0.0 < eps < 1.0:
         raise ValueError("eps must lie in (0, 1)")
-    enc = normalize_selectors(vh)
-    h = enc.block()
-    if not is_hermitian(h, DEFAULT_TOL):
-        raise ValueError("encoded block is not Hermitian")
-    if opnorm(h) > 1.0 - delta + 1e-10:
-        raise ValueError("‖H‖ exceeds 1 − delta")
+    target = enc.block()
+    if opnorm(target) > 1.0 - delta + 1e-10:
+        raise ValueError("‖M‖ exceeds 1 − delta")
 
-    counter = _QueryCounter()
-    step1 = lcu_i_minus_h2(enc)  # 2 queries per application
     poly, phases = _half_sqrt_solution(_spectral_floor(delta), eps / 9.0)
-    sqrt_be = _sqrt_qsvt(step1, phases, counter, weight=2)
-    queries_per_sqrt = counter.total  # 4·degree
-    counter.total = 0
+    calls = 0
 
-    w_be = lcu_w_uh(enc, sqrt_be)
-    w_weight = queries_per_sqrt + 1  # one bare V_H in the Z branch
+    def tick() -> None:
+        nonlocal calls
+        calls += 1
 
-    final_u = _amplify_t7(w_be, counter, w_weight)
-    result = BlockEncoding(final_u, w_be.a + 1, enc.n)
-    eps_measured = verify_encoding(result, h)
-    if debug:
-        u_h = dilate_hermitian(h).u
-        w_err = opnorm(w_be.block() - SIN_PI_14 * u_h)
-        if w_err > eps / 14.0 + 1e-12:
-            raise AssertionError(f"intermediate W block misses eps/14: {w_err:.3e}")
-        amp_err = opnorm(single_ancilla_unitary(result) - u_h)
-        if amp_err > eps:
-            raise AssertionError(f"amplified dilation misses eps: {amp_err:.3e}")
+    roots = [qsvt_apply(phases, _i_minus_gram(v, enc.a, enc.n), on_query=tick) for v in grams]
+    # two V uses per (I − M†M)/2 application, and each V once bare inside W
+    queries_per_w = 2 * calls + len(grams)
+    w_be = build_w(roots)
+    calls = 0
+    amplified = -_qsvt_product(w_be.u, 2**w_be.n, np.zeros(OAA_ORDER + 1), on_query=tick)
+    work = w_be.a  # working ancillae, all selected at 0
+    result = BlockEncoding(
+        amplified, work + 1, enc.n, bra_sel="0" * work + bra, ket_sel="0" * (work + 1)
+    )
+    eps_measured = verify_encoding(result, target)
     if eps_measured > eps:
         raise EpsilonExceededError(eps, eps_measured)
+    u_target = dilate(target).u
     report = UncomputeReport(
         eps_requested=eps,
         eps_measured=eps_measured,
         delta=delta,
-        queries_vh=counter.total,
+        queries_vh=queries_per_w * calls,
         ancillae_peak=result.a,
         qsvt_degree=poly.degree,
+        eps_w=opnorm(w_be.block() - SIN_PI_14 * u_target),
+        eps_dilation=opnorm(single_ancilla_unitary(result) - u_target),
     )
     return result, report
+
+
+def uncompute_hermitian(
+    vh: BlockEncoding, delta: float, eps: float
+) -> tuple[BlockEncoding, UncomputeReport]:
+    """Map a (1, a, 0)-encoding of Hermitian H (‖H‖ ≤ 1−δ) to a (1, 1, ε) one.
+
+    Returns the amplified encoding (all working ancillae selected at 0, the
+    dilation qubit being the single surviving ancilla) plus a report.  Raises
+    :class:`EpsilonExceededError` if the measured error misses ``eps``.
+
+    Inputs declaring a nonzero error are accepted: the pipeline targets the
+    encoding's actual block, so an input inexactness of ε₀ inflates the
+    guarantee against the intended matrix by up to ε₀ per query.
+    """
+    enc = normalize_selectors(vh)
+    if not is_hermitian(enc.block(), DEFAULT_TOL):
+        raise ValueError("encoded block is not Hermitian")
+    # W = √8·s·X⊗√(I−H²)/√8 + s·Z⊗H, one bare V_H per W
+    return _uncompute(
+        enc, delta, eps, [enc.u], lambda roots: lcu_w_uh(enc, roots[0]), dilate_hermitian, "0"
+    )
 
 
 def single_ancilla_unitary(result: BlockEncoding) -> CMatrix:
@@ -192,27 +199,23 @@ def single_ancilla_unitary(result: BlockEncoding) -> CMatrix:
     return mat_embed_block(result.u, "0" * work, "0" * work, work, result.n + 1)
 
 
-def _select_diag(m0: CMatrix, m1: CMatrix, split: int) -> CMatrix:
-    """|0⟩⟨0|⊗m0 + |1⟩⟨1|⊗m1 with the select qubit inserted at position split."""
-    dim = m0.shape[0]
-    nq = int(np.log2(dim))
-    raw = np.zeros((2 * dim, 2 * dim), dtype=complex)
-    raw[:dim, :dim] = m0
-    raw[dim:, dim:] = m1
-    # raw layout: [select][nq qubits] → move select to position `split`
-    order = list(range(1, split + 1)) + [0] + list(range(split + 1, nq + 1))
-    return permute_qubits(raw, order)
+def _w_general(
+    enc: BlockEncoding, root_right: BlockEncoding, root_left: BlockEncoding
+) -> BlockEncoding:
+    """sin(π/14)·U_A from √(I−A†A)/√8, √(I−AA†)/√8, V_A and V_A†.
 
-
-def _select_antidiag(m01: CMatrix, m10: CMatrix, split: int) -> CMatrix:
-    """|0⟩⟨1|⊗m01 + |1⟩⟨0|⊗m10 with the select qubit inserted at position split."""
-    dim = m01.shape[0]
-    nq = int(np.log2(dim))
-    raw = np.zeros((2 * dim, 2 * dim), dtype=complex)
-    raw[:dim, dim:] = m01
-    raw[dim:, :dim] = m10
-    order = list(range(1, split + 1)) + [0] + list(range(split + 1, nq + 1))
-    return permute_qubits(raw, order)
+    Register layout [prep][a2 ancillae][dilation qubit][n]: the branch
+    diag(√(I−A†A), −√(I−AA†))/√8 gets weight √8·s and the branch
+    |0⟩⟨1|⊗A† + |1⟩⟨0|⊗A weight s, with s = sin(π/14).
+    """
+    a2 = root_right.a
+    pad = np.eye(2 ** (a2 - enc.a))
+    t_diag = select_qubit([[root_right.u, None], [None, -root_left.u]], split=a2)
+    t_off = select_qubit(
+        [[None, np.kron(pad, dagger(enc.u))], [np.kron(pad, enc.u), None]], split=a2
+    )
+    s = SIN_PI_14
+    return BlockEncoding(pair_select(math.sqrt(8.0) * s, t_diag, s, t_off), 1 + a2, enc.n + 1)
 
 
 def uncompute_general(
@@ -222,62 +225,14 @@ def uncompute_general(
     A = ⟨1|·|0⟩ on the surviving dilation qubit.
 
     Builds √(I−A†A)/√8 and √(I−AA†)/√8 by QSVT on the exact (I−A†A)/2 and
-    (I−AA†)/2 encodings, combines them with V_A, V_A† into sin(π/14)·U_A,
-    and amplifies with T₇ exactly as in the Hermitian pipeline.
+    (I−AA†)/2 encodings (from V_A and V_A†), combines them with V_A, V_A†
+    into sin(π/14)·U_A, and amplifies with T₇ as in the Hermitian pipeline.
     """
-    if not 0.0 < delta <= 1.0:
-        raise ValueError("delta must lie in (0, 1]")
-    if not 0.0 < eps < 1.0:
-        raise ValueError("eps must lie in (0, 1)")
     enc = normalize_selectors(va)
-    a_mat = enc.block()
-    if opnorm(a_mat) > 1.0 - delta + 1e-10:
-        raise ValueError("‖A‖ exceeds 1 − delta")
-
-    counter = _QueryCounter()
-    refl = reflect_about_zero(enc.a, enc.n)
-    eye = np.eye(enc.dim)
-    m_right = dagger(enc.u) @ refl @ enc.u  # block 2A†A − I
-    m_left = enc.u @ refl @ dagger(enc.u)   # block 2AA† − I
-    step_right = BlockEncoding(pair_select(0.25, eye, -0.25, m_right), enc.a + 1, enc.n)
-    step_left = BlockEncoding(pair_select(0.25, eye, -0.25, m_left), enc.a + 1, enc.n)
-
-    poly, phases = _half_sqrt_solution(_spectral_floor(delta), eps / 9.0)
-    sqrt_right = _sqrt_qsvt(step_right, phases, counter, weight=2)  # √(I−A†A)/√8
-    sqrt_left = _sqrt_qsvt(step_left, phases, counter, weight=2)    # √(I−AA†)/√8
-    queries_per_pair = counter.total  # 8·degree
-    counter.total = 0
-
-    a2 = sqrt_right.a
-    va_pad = np.kron(np.eye(2 ** (a2 - enc.a)), enc.u)
-    t_diag = _select_diag(sqrt_right.u, -sqrt_left.u, split=a2)
-    t_off = _select_antidiag(np.kron(np.eye(2 ** (a2 - enc.a)), dagger(enc.u)), va_pad, split=a2)
-    s = SIN_PI_14
-    w = pair_select(math.sqrt(8.0) * s, t_diag, s, t_off)
-    w_be = BlockEncoding(w, 1 + a2, enc.n + 1)
-    w_weight = queries_per_pair + 2  # V_A and V_A† once each in the off-diagonal branch
-
-    final_u = _amplify_t7(w_be, counter, w_weight)
-    work = w_be.a  # working ancillae, all selected at 0
-    result = BlockEncoding(
-        final_u,
-        work + 1,
-        enc.n,
-        bra_sel="0" * work + "1",
-        ket_sel="0" * work + "0",
+    return _uncompute(
+        enc, delta, eps, [enc.u, dagger(enc.u)],
+        lambda roots: _w_general(enc, *roots), dilate_general, "1",
     )
-    eps_measured = verify_encoding(result, a_mat)
-    if eps_measured > eps:
-        raise EpsilonExceededError(eps, eps_measured)
-    report = UncomputeReport(
-        eps_requested=eps,
-        eps_measured=eps_measured,
-        delta=delta,
-        queries_vh=counter.total,
-        ancillae_peak=result.a,
-        qsvt_degree=poly.degree,
-    )
-    return result, report
 
 
 def phase_correct_twisted(u_twisted: np.ndarray, delta: float, eps: float) -> CMatrix:

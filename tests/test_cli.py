@@ -70,6 +70,36 @@ def test_gen_dyson_with_config(tmp_path, capsys):
     assert ",true," in data.decode().splitlines()[1]
 
 
+def test_gen_dyson_dissipative_config_uses_normalized_deviation(tmp_path, capsys):
+    # constant A = −0.2·I − 0.5i·X: the propagators are contractions, encoded by
+    # the ⟨1|·|0⟩ dilation, whose selector-normalized unitary is near I
+    cfg = {
+        "generator": {
+            "family": "constant",
+            "matrix": [[[-0.2, 0.0], [0.0, -0.5]], [[0.0, -0.5], [-0.2, 0.0]]],
+        },
+        "T": 1.0,
+        "K": 32,
+        "micro_steps": 32,
+    }
+    cfg_path = tmp_path / "dissipative.json"
+    cfg_path.write_text(json.dumps(cfg))
+    _, data = _run_cli(["gen-dyson", "--config", str(cfg_path)], tmp_path, "d.csv")
+    row = next(csv.DictReader(data.decode().splitlines()))
+    eta_max, e = float(row["eta_max"]), float(row["e_measured"])
+    assert eta_max < 1.0
+    assert e <= macg_run_bound(int(row["K"]), 1, eta_max)
+
+
+def test_subcommands_reject_flags_they_do_not_read():
+    from bechain.cli import main
+
+    for argv in (["macg-sweep", "--eps", "1e-2"], ["ecg-verify", "--p", "2"]):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+
+
 def test_usage_error_exit_code():
     proc = subprocess.run(
         [sys.executable, "-m", "bechain.cli", "bogus-subcommand"],

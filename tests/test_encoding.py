@@ -21,6 +21,7 @@ from bechain.linalg import (
     PAULI_X,
     PAULI_Z,
     Tolerance,
+    haar_unitary,
     is_unitary,
     kron,
     mat_embed_block,
@@ -157,6 +158,30 @@ def test_normalize_selectors_moves_block():
     norm = normalize_selectors(be)
     assert (norm.bra_sel, norm.ket_sel) == ("0", "0")
     np.testing.assert_allclose(norm.block(), np.array([[0.5j]]), atol=1e-14)
+
+
+def test_normalize_selectors_matches_x_string_conjugation():
+    rng = np.random.default_rng(21)
+    be = BlockEncoding(haar_unitary(16, rng), 3, 1, bra_sel="101", ket_sel="011")
+
+    def x_string(bits):  # X on every ancilla whose selector bit is 1, I on the system
+        return kron(*[PAULI_X if b == "1" else np.eye(2) for b in bits], np.eye(2))
+
+    norm = normalize_selectors(be)
+    np.testing.assert_allclose(
+        norm.u, x_string(be.bra_sel) @ be.u @ x_string(be.ket_sel), atol=1e-15
+    )
+    np.testing.assert_array_equal(norm.block(), be.block())
+
+
+def test_deviation_of_general_dilation_uses_normalized_unitary():
+    # near-identity A read at <1|.|0>: the stored unitary is about 2 away from I,
+    # the selector-normalized one about as far as A itself
+    a_mat = np.array([[0.9, 0.1j], [0.05, 0.95]])
+    be = dilate_general(a_mat)
+    expected = opnorm(normalize_selectors(be).u - np.eye(be.dim))
+    assert deviation(be) == pytest.approx(expected, abs=1e-15)
+    assert deviation(be) < 1.0 < opnorm(be.u - np.eye(be.dim))
 
 
 def test_pad_and_scramble_preserve_block():

@@ -10,7 +10,6 @@ from bechain.linalg import (
     haar_unitary,
     herm_funcmat,
     householder_column,
-    interleave_middle,
     is_hermitian,
     is_unitary,
     kron,
@@ -18,6 +17,7 @@ from bechain.linalg import (
     opnorm,
     permute_qubits,
     random_hermitian,
+    select_qubit,
     sqrt_one_minus_sq,
 )
 
@@ -110,13 +110,35 @@ def test_permute_qubits_swaps_kron_factors():
     np.testing.assert_allclose(swapped, kron(b, a), atol=1e-14)
 
 
-def test_interleave_middle():
+def test_select_qubit():
     rng = np.random.default_rng(4)
     v = haar_unitary(4, rng)  # 2 qubits
-    got = interleave_middle(v, PAULI_X, split=1)
+    got = select_qubit([[None, v], [v, None]], split=1)
     # layout [q0 of v][X qubit][q1 of v]
     direct = permute_qubits(kron(v, PAULI_X), [0, 2, 1])
     np.testing.assert_allclose(got, direct, atol=1e-14)
+
+
+def test_select_qubit_grid():
+    rng = np.random.default_rng(6)
+    blocks = [[haar_unitary(4, rng), None], [haar_unitary(4, rng), haar_unitary(4, rng)]]
+    expected = np.zeros((8, 8), dtype=complex)
+    for i in range(2):
+        for j in range(2):
+            if blocks[i][j] is not None:
+                unit = np.zeros((2, 2))
+                unit[i, j] = 1.0
+                expected += kron(blocks[i][j], unit)  # layout [block qubits][new qubit]
+    np.testing.assert_array_equal(select_qubit(blocks, split=2), expected)
+    np.testing.assert_array_equal(
+        select_qubit(blocks), permute_qubits(expected, [2, 0, 1])
+    )
+    with pytest.raises(ValueError, match="split"):
+        select_qubit(blocks, split=3)
+    with pytest.raises(ValueError, match="dimension"):
+        select_qubit([[np.eye(4), None], [None, np.eye(2)]])
+    with pytest.raises(ValueError, match="2x2"):
+        select_qubit([[None, None], [None, None]])
 
 
 def test_householder_column_complex():

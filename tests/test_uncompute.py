@@ -42,7 +42,9 @@ def test_uncompute_zero_hamiltonian():
 def test_uncompute_half_z_embedded():
     h = 0.5 * PAULI_Z
     vh = hermitian_test_encoding(h, 2, 31)
-    result, report = uncompute_hermitian(vh, 0.25, 1e-2, debug=True)
+    result, report = uncompute_hermitian(vh, 0.25, 1e-2)
+    assert report.eps_w <= 1e-2 / 14.0
+    assert report.eps_dilation <= 1e-2
     assert verify_encoding(result, h) <= 1e-2
     u_h = dilate_hermitian(h).u
     assert opnorm(single_ancilla_unitary(result) - u_h) <= 1e-2
@@ -140,9 +142,30 @@ def test_uncompute_accuracy_over_eps_grid():
         h = random_hermitian(2**n, 0.7, rng)
         vh = hermitian_test_encoding(h, a, int(rng.integers(1 << 20)))
         for eps in (1e-1, 1e-2):
-            result, rep = uncompute_hermitian(vh, 0.25, eps, debug=True)
+            result, rep = uncompute_hermitian(vh, 0.25, eps)
             assert rep.eps_measured <= eps
+            assert rep.eps_w <= eps / 14.0
+            assert rep.eps_dilation <= eps
             assert rep.ancillae_peak == a + 4
+
+
+def test_uncompute_general_stage_budgets():
+    rng = np.random.default_rng(78)
+    for a, n in ((2, 1), (3, 2)):
+        mat = rng.standard_normal((2**n, 2**n)) + 1j * rng.standard_normal((2**n, 2**n))
+        mat = 0.7 * mat / opnorm(mat)
+        va = scramble_ancillas(pad_ancillas(normalize_selectors(dilate_general(mat)), a), 5 + a)
+        u_a = dilate_general(mat).u
+        for eps in (1e-1, 1e-2):
+            result, rep = uncompute_general(va, 0.25, eps)
+            assert rep.eps_measured <= eps
+            assert rep.eps_w <= eps / 14.0
+            assert rep.eps_dilation <= eps
+            # the recorded stage error is the amplified dilation's distance from U_A
+            assert rep.eps_dilation == pytest.approx(
+                opnorm(single_ancilla_unitary(result) - u_a), abs=1e-15
+            )
+
 
 def test_uncompute_raises_when_accuracy_missed(monkeypatch):
     import bechain.uncompute as unc
