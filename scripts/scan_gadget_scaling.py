@@ -1,11 +1,14 @@
 #!/usr/bin/env python3
-"""Measured compression-gadget error vs K, against the closed-form bound.
+"""Measured compression-gadget error vs K, against both p-MACG bounds.
 
-Prints a table of median errors over seeds for p in {1, 2} and the fitted
-log–log slopes.  This is the experiment behind the acceptance suite's
-criterion 8: the measured slope sits near −1 for every p (adjacent failed
-measurements leak at second order in the deviation, see
-``bechain.macg_run_bound``), while the claimed closed-form bound predicts −2^p.
+Evaluates the ``macg-sweep`` rows (``bechain.cli.sweep_rows``) for K in
+{8, 16, 32, 64}, p in {1, 2} and ``seeds`` trials, and prints per (p, K) the
+median measured error, the paper's closed-form bound ``e_bound`` and the
+median run-aware bound ``e_run_bound`` at the measured η_max, then the fitted
+log–log slope of the median error per p.  This is the experiment behind the
+acceptance suite's criterion 8: the measured slope sits near −1 for every p
+(adjacent failed measurements leak at second order in the deviation, see
+``bechain.macg_run_bound``), while the closed form predicts −2^p.
 
 Usage: python scripts/scan_gadget_scaling.py [seeds]
 """
@@ -14,33 +17,25 @@ import sys
 
 import numpy as np
 
-from bechain import (
-    block_product,
-    gadget_error_exact,
-    gadget_pmacg,
-    macg_bound,
-    random_near_identity,
-)
+from bechain.cli import RunConfig, sweep_rows
 
 
 def main() -> int:
     seeds = int(sys.argv[1]) if len(sys.argv) > 1 else 5
-    c = 0.5
-    print(f"{'p':>2} {'K':>4} {'median e':>12} {'bound':>12} {'ratio':>10}")
-    for p, ks in ((1, (8, 16, 32, 64)), (2, (8, 16, 32))):
+    cfg = RunConfig("macg-sweep", k_list=(8, 16, 32, 64), p_list=(1, 2), trials=seeds)
+    rows = sweep_rows(cfg)
+    print(f"{'p':>2} {'K':>4} {'median e':>12} {'e_bound':>12} {'e_run_bound':>12}")
+    for p in cfg.p_list:
         medians = []
-        for k in ks:
-            errs = []
-            for s in range(seeds):
-                base = 20000 + 1000 * k + 10 * s
-                encs = [random_near_identity(1, 1, c / k, base + i) for i in range(k)]
-                errs.append(gadget_error_exact(gadget_pmacg(encs, p), block_product(encs)))
-            med = float(np.median(errs))
-            medians.append(med)
-            bound = macg_bound(k, p, c)
-            print(f"{p:>2} {k:>4} {med:>12.4e} {bound:>12.4e} {med / bound:>10.2f}")
-        slope = float(np.polyfit(np.log(ks), np.log(medians), 1)[0])
-        print(f"   p={p}: fitted log-log slope {slope:.3f} (bound predicts {-2**p})\n")
+        for k in cfg.k_list:
+            cell = [r for r in rows if (r["K"], r["p"]) == (k, p)]
+            medians.append(float(np.median([r["e_measured"] for r in cell])))
+            run_bound = float(np.median([r["e_run_bound"] for r in cell]))
+            bound = cell[0]["e_bound"]  # depends on (K, p, c) only
+            bound_text = "refused" if bound is None else f"{bound:.4e}"
+            print(f"{p:>2} {k:>4} {medians[-1]:>12.4e} {bound_text:>12} {run_bound:>12.4e}")
+        slope = float(np.polyfit(np.log(cfg.k_list), np.log(medians), 1)[0])
+        print(f"   p={p}: fitted log-log slope {slope:.3f} (closed form predicts {-2**p})\n")
     return 0
 
 

@@ -42,7 +42,6 @@ from .uncompute import (
     uncompute_hermitian,
 )
 from .mcm import (
-    ErrorReport,
     MCMCircuit,
     MCMRaw,
     add_unitary,

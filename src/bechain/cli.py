@@ -1,11 +1,13 @@
 """Command-line driver for verification sweeps and experiment artifacts.
 
-Every subcommand evaluates a deterministic grid of (parameter tuple, trial)
-rows — per-trial randomness comes from a counter-based Philox generator keyed
-by ``seed + trial index`` — and writes them in sorted parameter order, so a
-rerun with the same configuration is byte-identical.  Exit code 0 means every
-row passed its check; 1 reports the failure count; argparse uses 2 for usage
-errors.
+Every subcommand is one entry of the ``_SWEEPS`` table: the flags it reads
+with their defaults, its artifact header, a grid function that lists the
+sweep's task tuples for a :class:`RunConfig`, and a row function that turns
+one task into one row.  :func:`sweep_rows` evaluates the tasks in sorted
+order — per-trial randomness comes from a counter-based Philox generator
+keyed by ``seed + trial index`` — so a rerun with the same configuration is
+byte-identical, and :func:`run` writes the rows as CSV or JSON.  Exit code 0 means every row passed its check; 1 reports the
+failure count; 2 is a usage error (argparse) or a rejected configuration.
 """
 
 from __future__ import annotations
@@ -16,8 +18,9 @@ import json
 import math
 import sys
 from dataclasses import dataclass
+from itertools import product
 from pathlib import Path
-from typing import Optional, Sequence
+from typing import Any, Callable, Iterable, Optional, Sequence
 
 import numpy as np
 
@@ -40,11 +43,6 @@ from .mcm import (
 )
 from .oaa import oaa_boost_report
 from .uncompute import EpsilonExceededError, uncompute_hermitian
-
-SUBCOMMANDS = (
-    "uncompute", "macg-sweep", "ecg-verify", "lb-probe", "oaa-demo",
-    "gen-trotter", "gen-dyson",
-)
 
 ERROR_HEADER = ["K", "m", "p", "c", "eta_max", "e_measured", "e_bound", "pass", "seed"]
 # macg-sweep appends the run-aware bound at the measured eta_max (see macg_run_bound).
@@ -74,7 +72,7 @@ class RunConfig:
     config_path: Optional[str] = None
 
     def __post_init__(self) -> None:
-        if self.subcommand not in SUBCOMMANDS:
+        if self.subcommand not in _SWEEPS:
             raise ValueError(f"unknown subcommand {self.subcommand!r}")
         if self.fmt not in ("csv", "json"):
             raise ValueError("format must be csv or json")
@@ -130,211 +128,197 @@ def write_rows(rows: Sequence[dict], header: Sequence[str], out_path: str, fmt: 
 
 
 # ---------------------------------------------------------------------------
-# Row builders, one per subcommand.
+# Row functions, one per subcommand: (cfg, task) -> row.
 # ---------------------------------------------------------------------------
 
 
-def _rows_uncompute(cfg: RunConfig) -> tuple[list[dict], list[str]]:
-    tasks = [
-        (eps_i, trial)
-        for eps_i in range(len(cfg.eps_list))
-        for trial in range(cfg.trials)
-    ]
+def _error_row(k, m, p, c, eta_max, e, bound, ok, seed) -> dict:
+    """One ``ERROR_HEADER`` row."""
+    return dict(zip(ERROR_HEADER, (k, m, p, c, eta_max, e, bound, ok, seed)))
 
-    def worker(task):
-        eps_i, trial = task
-        eps = cfg.eps_list[eps_i]
-        idx = eps_i * cfg.trials + trial
-        rng = trial_rng(cfg.seed, idx)
-        dim = 2**cfg.n
-        norm = (1.0 - cfg.delta) * rng.uniform(0.4, 1.0)
-        h = random_hermitian(dim, norm, rng)
-        vh = hermitian_test_encoding(h, cfg.a, trial_seed(cfg.seed, idx) + 7919)
-        try:
-            _, rep = uncompute_hermitian(vh, cfg.delta, eps)
-            row = rep.to_row()
-            row["pass"] = True
-        except EpsilonExceededError as exc:
-            row = {
-                "delta": cfg.delta, "eps_requested": eps,
-                "eps_measured": exc.eps_measured, "queries": None,
-                "ancillae_peak": None, "pass": False,
-            }
-        row["seed"] = trial_seed(cfg.seed, idx)
-        return row
 
-    return [worker(t) for t in sorted(set(tasks))], list(UNCOMPUTE_HEADER)
+def _only(cfg: RunConfig, flag: str):
+    """The single value of a list flag that a sweep reads once."""
+    values = getattr(cfg, _FLAGS[flag][0])
+    if len(values) != 1:
+        given = ",".join(str(v) for v in values)
+        raise ValueError(f"{cfg.subcommand} reads one --{flag} value, got {given}")
+    return values[0]
+
+
+def _uncompute_row(cfg: RunConfig, task: tuple[int, int]) -> dict:
+    eps_i, trial = task
+    eps = cfg.eps_list[eps_i]
+    idx = eps_i * cfg.trials + trial
+    rng = trial_rng(cfg.seed, idx)
+    norm = (1.0 - cfg.delta) * rng.uniform(0.4, 1.0)
+    h = random_hermitian(2**cfg.n, norm, rng)
+    vh = hermitian_test_encoding(h, cfg.a, trial_seed(cfg.seed, idx) + 7919)
+    try:
+        _, rep = uncompute_hermitian(vh, cfg.delta, eps)
+        row = rep.to_row()
+        row["pass"] = True
+    except EpsilonExceededError as exc:
+        row = {
+            "delta": cfg.delta, "eps_requested": eps,
+            "eps_measured": exc.eps_measured, "queries": None,
+            "ancillae_peak": None, "pass": False,
+        }
+    row["seed"] = trial_seed(cfg.seed, idx)
+    return row
 
 
 def _near_identity_set(k: int, c: float, n: int, a: int, base_seed: int) -> list:
     return [random_near_identity(n, a, c / k, base_seed + i) for i in range(k)]
 
 
-def _rows_macg(cfg: RunConfig) -> tuple[list[dict], list[str]]:
-    tasks = [
-        (k, p, trial)
-        for k in cfg.k_list
-        for p in cfg.p_list
-        for trial in range(cfg.trials)
-    ]
-
-    def worker(task):
-        k, p, trial = task
-        base = trial_seed(cfg.seed, trial) + 104729 * k + 1299709 * p
-        encs = _near_identity_set(k, cfg.c, cfg.n, cfg.a, base)
-        circ = gadget_pmacg(encs, p)
-        e = gadget_error_exact(circ, block_product(encs))
-        eta_max = deviation_profile(encs).eta_max
-        try:
-            bound = macg_bound(k, p, cfg.c)
-        except ValueError:
-            bound = None
-        try:
-            run_bound = macg_run_bound(k, p, eta_max)
-        except ValueError:
-            run_bound = None
-        row = {
-            "K": k, "m": circ.m, "p": p, "c": cfg.c,
-            "eta_max": eta_max,
-            "e_measured": e, "e_bound": bound,
-            "pass": (bound is not None and e <= bound),
-            "seed": trial_seed(cfg.seed, trial),
-            "e_run_bound": run_bound,
-        }
-        return row
-
-    return [worker(t) for t in sorted(set(tasks))], list(MACG_HEADER)
+def _macg_row(cfg: RunConfig, task: tuple[int, int, int]) -> dict:
+    k, p, trial = task
+    base = trial_seed(cfg.seed, trial) + 104729 * k + 1299709 * p
+    encs = _near_identity_set(k, cfg.c, cfg.n, cfg.a, base)
+    circ = gadget_pmacg(encs, p)
+    e = gadget_error_exact(circ, block_product(encs))
+    eta_max = deviation_profile(encs).eta_max
+    try:
+        bound = macg_bound(k, p, cfg.c)
+    except ValueError:
+        bound = None
+    try:
+        run_bound = macg_run_bound(k, p, eta_max)
+    except ValueError:
+        run_bound = None
+    row = _error_row(k, circ.m, p, cfg.c, eta_max, e, bound,
+                     bound is not None and e <= bound, trial_seed(cfg.seed, trial))
+    row["e_run_bound"] = run_bound
+    return row
 
 
-def _rows_ecg(cfg: RunConfig) -> tuple[list[dict], list[str]]:
+def _ecg_row(cfg: RunConfig, task: tuple[int, int]) -> dict:
+    k, trial = task
     tol = 1e-11
-    tasks = [(k, trial) for k in cfg.k_list for trial in range(cfg.trials)]
-
-    def worker(task):
-        k, trial = task
-        base = trial_seed(cfg.seed, trial) + 15485863 * k
-        encs = [random_block_encoding(cfg.n, cfg.a, base + i) for i in range(k)]
-        circ = gadget_lw19(encs)
-        e = gadget_error_exact(circ, block_product(encs))
-        row = {
-            "K": k, "m": circ.m, "p": None, "c": None,
-            "eta_max": deviation_profile(encs).eta_max,
-            "e_measured": e, "e_bound": tol,
-            "pass": (e <= tol and circ.m == math.ceil(math.log2(k))),
-            "seed": trial_seed(cfg.seed, trial),
-        }
-        return row
-
-    return [worker(t) for t in sorted(set(tasks))], list(ERROR_HEADER)
+    base = trial_seed(cfg.seed, trial) + 15485863 * k
+    encs = [random_block_encoding(cfg.n, cfg.a, base + i) for i in range(k)]
+    circ = gadget_lw19(encs)
+    e = gadget_error_exact(circ, block_product(encs))
+    return _error_row(k, circ.m, None, None, deviation_profile(encs).eta_max, e, tol,
+                      e <= tol and circ.m == math.ceil(math.log2(k)),
+                      trial_seed(cfg.seed, trial))
 
 
-def _rows_lb_probe(cfg: RunConfig) -> tuple[list[dict], list[str]]:
-    tasks = [(k, trial) for k in cfg.k_list for trial in range(cfg.trials)]
-
-    def worker(task):
-        k, trial = task
-        base = trial_seed(cfg.seed, trial) + 32452843 * k
-        encs = [random_block_encoding(cfg.n, cfg.a, base + i) for i in range(k)]
-        residual = lower_bound_probe(encs, cfg.m, cfg.restarts, base + 271)
-        below_bound = cfg.m < math.ceil(math.log2(k))
-        threshold = 1e-3 if below_bound else 1e-8
-        ok = residual >= threshold if below_bound else residual <= threshold
-        row = {
-            "K": k, "m": cfg.m, "p": None, "c": None, "eta_max": 0.0,
-            "e_measured": residual, "e_bound": threshold,
-            "pass": ok, "seed": trial_seed(cfg.seed, trial),
-        }
-        return row
-
-    return [worker(t) for t in sorted(set(tasks))], list(ERROR_HEADER)
+def _lb_probe_row(cfg: RunConfig, task: tuple[int, int]) -> dict:
+    k, trial = task
+    base = trial_seed(cfg.seed, trial) + 32452843 * k
+    encs = [random_block_encoding(cfg.n, cfg.a, base + i) for i in range(k)]
+    residual = lower_bound_probe(encs, cfg.m, cfg.restarts, base + 271)
+    below_bound = cfg.m < math.ceil(math.log2(k))
+    threshold = 1e-3 if below_bound else 1e-8
+    ok = residual >= threshold if below_bound else residual <= threshold
+    return _error_row(k, cfg.m, None, None, 0.0, residual, threshold, ok,
+                      trial_seed(cfg.seed, trial))
 
 
-def _rows_oaa(cfg: RunConfig) -> tuple[list[dict], list[str]]:
-    p = cfg.p_list[0]
-    tasks = [(k, trial) for k in cfg.k_list for trial in range(cfg.trials)]
-
-    def worker(task):
-        k, trial = task
-        base = trial_seed(cfg.seed, trial) + 49979687 * k
-        encs = _near_identity_set(k, cfg.c, cfg.n, cfg.a, base)
-        circ = gadget_pmacg(encs, p)
-        target = block_product(encs)
-        eps = gadget_error_exact(circ, target)
-        rng = trial_rng(cfg.seed, trial)
-        psi = rng.standard_normal(2**cfg.n) + 1j * rng.standard_normal(2**cfg.n)
-        report = oaa_boost_report(circ, target, psi)
-        row = report.to_row()
-        row["pass"] = report.fidelity >= 1.0 - eps**2 and report.alpha_after**2 >= 0.8
-        row["seed"] = trial_seed(cfg.seed, trial)
-        return row
-
-    return [worker(t) for t in sorted(set(tasks))], list(OAA_HEADER)
+def _oaa_row(cfg: RunConfig, task: tuple[int, int]) -> dict:
+    k, trial = task
+    p = _only(cfg, "p")
+    base = trial_seed(cfg.seed, trial) + 49979687 * k
+    encs = _near_identity_set(k, cfg.c, cfg.n, cfg.a, base)
+    circ = gadget_pmacg(encs, p)
+    target = block_product(encs)
+    eps = gadget_error_exact(circ, target)
+    rng = trial_rng(cfg.seed, trial)
+    psi = rng.standard_normal(2**cfg.n) + 1j * rng.standard_normal(2**cfg.n)
+    report = oaa_boost_report(circ, target, psi)
+    row = report.to_row()
+    row["pass"] = report.fidelity >= 1.0 - eps**2 and report.alpha_after**2 >= 0.8
+    row["seed"] = trial_seed(cfg.seed, trial)
+    return row
 
 
-def _sequence_row(encodings, k_gadget: int, seed: int) -> dict:
-    profile = deviation_profile(encodings)
-    c_measured = profile.eta_max * k_gadget
+def _sequence_row(encodings, seed: int) -> dict:
+    """Judge the p = 1 gadget on a generated sequence at c = K·η_max."""
+    k_gadget = len(encodings)
+    eta_max = deviation_profile(encodings).eta_max
+    c_measured = eta_max * k_gadget
     circ = gadget_pmacg(encodings, 1)
     e = gadget_error_exact(circ, block_product(encodings))
     try:
         bound = macg_bound(k_gadget, 1, c_measured)
     except ValueError:
         bound = None
-    return {
-        "K": k_gadget, "m": 1, "p": 1, "c": c_measured,
-        "eta_max": profile.eta_max, "e_measured": e, "e_bound": bound,
-        "pass": (bound is not None and e <= bound), "seed": seed,
-    }
+    return _error_row(k_gadget, 1, 1, c_measured, eta_max, e, bound,
+                      bound is not None and e <= bound, seed)
 
 
-def _rows_gen_trotter(cfg: RunConfig) -> tuple[list[dict], list[str]]:
-    spec = TrotterSpec((0.5 * PAULI_X, 0.5 * PAULI_Z), cfg.t_total, cfg.k_list[0])
-    rows = []
-    for trial in range(cfg.trials):
-        encs = trotter_sequence(spec)
-        rows.append(_sequence_row(encs, len(encs), trial_seed(cfg.seed, trial)))
-    return rows, list(ERROR_HEADER)
+def _gen_trotter_row(cfg: RunConfig, trial: int) -> dict:
+    k = _only(cfg, "K")
+    spec = TrotterSpec((0.5 * PAULI_X, 0.5 * PAULI_Z), cfg.t_total, k)
+    return _sequence_row(trotter_sequence(spec), trial_seed(cfg.seed, trial))
 
 
-def _default_dyson_cfg(cfg: RunConfig) -> dict:
-    return {
-        "generator": {
-            "family": "cosine",
-            "matrix": [[[0.0, 0.0], [0.0, -0.5]], [[0.0, -0.5], [0.0, 0.0]]],
-            "omega": 1.0,
-        },
-        "lam": 0.5,
-        "T": cfg.t_total,
-        "K": cfg.k_list[0],
-    }
-
-
-def _rows_gen_dyson(cfg: RunConfig) -> tuple[list[dict], list[str]]:
+def _gen_dyson_row(cfg: RunConfig, trial: int) -> dict:
     if cfg.config_path:
-        spec = dyson_spec_from_json(json.loads(Path(cfg.config_path).read_text()))
+        spec_json = json.loads(Path(cfg.config_path).read_text())
     else:
-        spec = dyson_spec_from_json(_default_dyson_cfg(cfg))
-    rows = []
-    for trial in range(cfg.trials):
-        encs = dyson_sequence(spec)
-        rows.append(_sequence_row(encs, len(encs), trial_seed(cfg.seed, trial)))
-    return rows, list(ERROR_HEADER)
+        spec_json = {
+            "generator": {
+                "family": "cosine",
+                "matrix": [[[0.0, 0.0], [0.0, -0.5]], [[0.0, -0.5], [0.0, 0.0]]],
+                "omega": 1.0,
+            },
+            "lam": 0.5,
+            "T": cfg.t_total,
+            "K": _only(cfg, "K"),
+        }
+    encs = dyson_sequence(dyson_spec_from_json(spec_json))
+    return _sequence_row(encs, trial_seed(cfg.seed, trial))
 
 
-_BUILDERS = {
-    "uncompute": _rows_uncompute,
-    "macg-sweep": _rows_macg,
-    "ecg-verify": _rows_ecg,
-    "lb-probe": _rows_lb_probe,
-    "oaa-demo": _rows_oaa,
-    "gen-trotter": _rows_gen_trotter,
-    "gen-dyson": _rows_gen_dyson,
+@dataclass(frozen=True)
+class Sweep:
+    """One subcommand: the flags it reads beyond --seed/--out/--format, with
+    their defaults; the artifact header; the task grid; the row function."""
+
+    flags: dict
+    header: list[str]
+    grid: Callable[[RunConfig], Iterable]
+    row: Callable[[RunConfig, Any], dict]
+
+
+_SWEEPS = {
+    "uncompute": Sweep(
+        dict(delta=0.25, eps="1e-2", trials=3, n=1, a=2), UNCOMPUTE_HEADER,
+        # index-based over --eps: trial seeds are eps_i·trials + trial
+        lambda cfg: product(range(len(cfg.eps_list)), range(cfg.trials)), _uncompute_row),
+    "macg-sweep": Sweep(
+        dict(K="8,16,32", p="1,2", c=0.5, trials=5, n=1, a=1), MACG_HEADER,
+        lambda cfg: product(cfg.k_list, cfg.p_list, range(cfg.trials)), _macg_row),
+    "ecg-verify": Sweep(
+        dict(K="2..8", trials=10, n=1, a=1), ERROR_HEADER,
+        lambda cfg: product(cfg.k_list, range(cfg.trials)), _ecg_row),
+    "lb-probe": Sweep(
+        dict(K="3,4", trials=3, n=2, a=1, m=1, restarts=20), ERROR_HEADER,
+        lambda cfg: product(cfg.k_list, range(cfg.trials)), _lb_probe_row),
+    "oaa-demo": Sweep(
+        dict(K="8", p="1", c=0.5, trials=10, n=1, a=1), OAA_HEADER,
+        lambda cfg: product(cfg.k_list, range(cfg.trials)), _oaa_row),
+    "gen-trotter": Sweep(
+        dict(K="16", trials=1, t=1.0), ERROR_HEADER,
+        lambda cfg: range(cfg.trials), _gen_trotter_row),
+    "gen-dyson": Sweep(
+        dict(K="16", trials=1, t=1.0, config=None), ERROR_HEADER,
+        lambda cfg: range(cfg.trials), _gen_dyson_row),
 }
+
+
+def sweep_rows(cfg: RunConfig) -> list[dict]:
+    """The subcommand's rows, one per task of its grid, in sorted task order."""
+    sweep = _SWEEPS[cfg.subcommand]
+    return [sweep.row(cfg, t) for t in sorted(set(sweep.grid(cfg)))]
 
 
 def run(cfg: RunConfig) -> int:
     """Execute one subcommand, write its artifact, print a summary table."""
-    rows, header = _BUILDERS[cfg.subcommand](cfg)
+    rows, header = sweep_rows(cfg), _SWEEPS[cfg.subcommand].header
     write_rows(rows, header, cfg.out_path, cfg.fmt)
     failures = sum(1 for r in rows if not r.get("pass", True))
     widths = [max(len(h), 14) for h in header]
@@ -356,17 +340,6 @@ def _parse_float_list(text: str) -> tuple[float, ...]:
     return tuple(float(tok) for tok in text.split(",") if tok)
 
 
-# The flags each subcommand's row builder reads, with their defaults; every
-# subcommand also takes --seed, --out and --format.
-_SUBCOMMAND_FLAGS = {
-    "uncompute": dict(delta=0.25, eps="1e-2", trials=3, n=1, a=2),
-    "macg-sweep": dict(K="8,16,32", p="1,2", c=0.5, trials=5, n=1, a=1),
-    "ecg-verify": dict(K="2..8", trials=10, n=1, a=1),
-    "lb-probe": dict(K="3,4", trials=3, n=2, a=1, m=1, restarts=20),
-    "oaa-demo": dict(K="8", p="1", c=0.5, trials=10, n=1, a=1),
-    "gen-trotter": dict(K="16", trials=1, t=1.0),
-    "gen-dyson": dict(K="16", trials=1, t=1.0, config=None),
-}
 # flag -> (RunConfig field, parser, help)
 _FLAGS = {
     "K": ("k_list", _parse_int_list, "comma list or lo..hi range"),
@@ -390,9 +363,9 @@ def build_parser() -> argparse.ArgumentParser:
         description="verification sweeps for block-encoding pipelines and gadgets",
     )
     sub = parser.add_subparsers(dest="subcommand", required=True)
-    for name in SUBCOMMANDS:
+    for name, sweep in _SWEEPS.items():
         sp = sub.add_parser(name)
-        for flag, default in _SUBCOMMAND_FLAGS[name].items():
+        for flag, default in sweep.flags.items():
             dest, parse, text = _FLAGS[flag]
             sp.add_argument(f"--{flag}", dest=dest, type=parse, default=default, help=text)
         sp.add_argument("--seed", type=int, default=0)

@@ -1,9 +1,10 @@
-"""Block encodings: the (α, a, ε) abstraction, unitary dilations, generators.
+"""Block encodings: the (α, a) abstraction, unitary dilations, generators.
 
 A block encoding wraps a unitary ``u`` on ``a + n`` qubits together with the
-declared scale α and error ε.  By default the encoded matrix sits in the
-⟨0^a|·|0^a⟩ corner; general bitstring selectors are stored explicitly and can
-be normalized away with :func:`normalize_selectors`.
+declared scale α; its error is always measured, never declared.  By default
+the encoded matrix sits in the ⟨0^a|·|0^a⟩ corner; general bitstring
+selectors are stored explicitly and can be normalized away with
+:func:`normalize_selectors`.
 """
 
 from __future__ import annotations
@@ -38,7 +39,7 @@ MAX_QUBITS = 12
 
 @dataclass(frozen=True)
 class BlockEncoding:
-    """A unitary on ``a + n`` qubits declared as an (alpha, a, eps)-encoding.
+    """A unitary on ``a + n`` qubits declared as an (alpha, a)-encoding.
 
     ``bra_sel``/``ket_sel`` are the ancilla basis states selecting the encoded
     block; the default is 0^a on both sides.
@@ -48,7 +49,6 @@ class BlockEncoding:
     a: int
     n: int
     alpha: float = 1.0
-    eps: float = 0.0
     bra_sel: str = ""
     ket_sel: str = ""
 
@@ -63,8 +63,6 @@ class BlockEncoding:
             raise ValueError(f"unitary shape {self.u.shape} does not match a={self.a}, n={self.n}")
         if self.alpha <= 0:
             raise ValueError("alpha must be positive")
-        if self.eps < 0:
-            raise ValueError("eps must be non-negative")
         if not self.bra_sel:
             object.__setattr__(self, "bra_sel", "0" * self.a)
         if not self.ket_sel:
@@ -128,7 +126,7 @@ def normalize_selectors(be: BlockEncoding) -> BlockEncoding:
     idx = np.arange(be.dim)
     bra = bit_index(be.bra_sel) << be.n
     ket = bit_index(be.ket_sel) << be.n
-    return BlockEncoding(be.u[np.ix_(idx ^ bra, idx ^ ket)], be.a, be.n, be.alpha, be.eps)
+    return BlockEncoding(be.u[np.ix_(idx ^ bra, idx ^ ket)], be.a, be.n, be.alpha)
 
 
 def dilate_hermitian(h: np.ndarray, tol: Tolerance = DEFAULT_TOL) -> BlockEncoding:
@@ -165,7 +163,7 @@ def dilate_general(a_mat: np.ndarray) -> BlockEncoding:
 
 
 def random_block_encoding(n: int, a: int, seed: int) -> BlockEncoding:
-    """Haar-random unitary declared as a (1, a, 0)-encoding of its own block."""
+    """Haar-random unitary as an exact (1, a, 0)-encoding of its own block."""
     if n < 1 or a < 1:
         raise ValueError("need n, a >= 1")
     if n + a > 10:
@@ -201,7 +199,7 @@ def pad_ancillas(be: BlockEncoding, a_total: int) -> BlockEncoding:
     extra = a_total - be.a
     u = kron(np.eye(2**extra), be.u)
     return BlockEncoding(
-        u, a_total, be.n, be.alpha, be.eps,
+        u, a_total, be.n, be.alpha,
         "0" * extra + be.bra_sel, "0" * extra + be.ket_sel,
     )
 
@@ -225,7 +223,7 @@ def scramble_ancillas(be: BlockEncoding, seed: int) -> BlockEncoding:
         return s
 
     u = kron(stabilizer(), eye_n) @ be.u @ kron(stabilizer(), eye_n)
-    return BlockEncoding(u, be.a, be.n, be.alpha, be.eps)
+    return BlockEncoding(u, be.a, be.n, be.alpha)
 
 
 def hermitian_test_encoding(h: np.ndarray, a: int, seed: int) -> BlockEncoding:

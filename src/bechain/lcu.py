@@ -168,5 +168,4 @@ def lcu_w_uh(vh: BlockEncoding, vsqrt: BlockEncoding) -> BlockEncoding:
     t2 = select_qubit([[enc_h.u, None], [None, -enc_h.u]], split=a2)  # Z on the dilation qubit
     s = SIN_PI_14
     w = pair_select(math.sqrt(8.0) * s, t1, s, t2)
-    eps_out = math.sqrt(8.0) * s * enc_s.eps + enc_h.eps
-    return BlockEncoding(w, 1 + a2, vh.n + 1, 1.0, eps_out)
+    return BlockEncoding(w, 1 + a2, vh.n + 1)

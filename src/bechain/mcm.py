@@ -16,7 +16,7 @@ summed by enumeration or by an O(K·2^p) recursion over failure-count classes.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import combinations, product
 from typing import Callable, Literal, Sequence
 
@@ -116,40 +116,6 @@ class MCMRaw:
         for x in (*self.w_list, *self.g_list, *self.b_list):
             if x.shape != (dm, dm) or not is_unitary(x, DEFAULT_TOL):
                 raise ValueError("all raw parameters must be m-qubit unitaries")
-
-
-@dataclass(frozen=True)
-class ErrorReport:
-    """One row of a gadget-error experiment, serializable to CSV/JSON."""
-
-    k: int
-    m: int
-    p: int | None
-    c: float | None
-    eta_max: float
-    e_measured: float
-    e_bound: float | None
-    seed: int
-    passed: bool = field(init=False)
-
-    def __post_init__(self) -> None:
-        if self.e_measured < 0:
-            raise ValueError("e_measured must be non-negative")
-        ok = True if self.e_bound is None else self.e_measured <= self.e_bound
-        object.__setattr__(self, "passed", bool(ok))
-
-    def to_row(self) -> dict:
-        return {
-            "K": self.k,
-            "m": self.m,
-            "p": self.p,
-            "c": self.c,
-            "eta_max": self.eta_max,
-            "e_measured": self.e_measured,
-            "e_bound": self.e_bound,
-            "pass": self.passed,
-            "seed": self.seed,
-        }
 
 
 def _mcm_columns(circ: MCMCircuit, state: np.ndarray) -> np.ndarray:
@@ -382,9 +348,6 @@ def macg_bound(k: int, p: int, c: float) -> float:
     return 2.0 * math.exp(c) * (math.e * c**2 / (k * period)) ** period
 
 
-RUN_BOUND_K_CAP = 512
-
-
 def macg_run_bound(k: int, p: int, eta: float) -> float:
     """Run-aware p-MACG error bound B_run(K, p, η) for encodings with η_max ≤ η.
 
@@ -407,18 +370,24 @@ def macg_run_bound(k: int, p: int, eta: float) -> float:
     Unlike :func:`macg_bound`, which charges η^{2|x|}, this holds for every
     sequence of unitaries.  A single run of length 2^p already costs η², so
     B_run ≈ (K²/2^{p+1})·η² decays only as 1/K at η = c/K.
+
+    Evaluation is a transfer recursion over the K−1 measurements, O(K·2^p)
+    with no binomials: the all-passed prefix has weight 1, and the prefixes
+    with a failure carry Σ η^{2j} per (failure count mod 2^p, last outcome),
+    charging η² wherever a run of failures starts.  Every term is positive,
+    so nothing cancels; past the float range the result saturates at ``inf``.
     """
     if k < 2 or p < 1 or not 0.0 <= eta <= 2.0:
         raise ValueError("need K >= 2, p >= 1 and eta in [0, 2] (‖U − I‖ <= 2)")
-    if k > RUN_BOUND_K_CAP:
-        # keeps C(w−1, j−1)·C(K−w, j) ≤ 2^{K−1} and η^{2j} ≤ 4^{K/2} as floats
-        raise ValueError(f"run bound capped at K <= {RUN_BOUND_K_CAP}")
-    period = 2**p
-    total = 0.0
-    for w in range(period, k, period):
-        for j in range(1, min(w, k - w) + 1):
-            total += math.comb(w - 1, j - 1) * math.comb(k - w, j) * eta ** (2 * j)
-    return total
+    e2 = eta * eta
+    passed = [0.0] * 2**p  # index: failure count mod 2^p; last measurement passed
+    failed = [0.0] * 2**p  # same, last measurement failed
+    for _ in range(k - 1):
+        grown = [e2 * q + f for q, f in zip(passed, failed)]
+        passed = [q + f for q, f in zip(passed, failed)]
+        failed = grown[-1:] + grown[:-1]
+        failed[1] += e2  # the first failure starts the first run
+    return passed[0] + failed[0]
 
 
 def min_k_for_eps(eps: float, p: int, c: float) -> int:

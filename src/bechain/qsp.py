@@ -66,7 +66,6 @@ class PhaseFactors:
     phases: np.ndarray
     parity: str
     residual: float = 0.0
-    convention: str = "wx"
 
     def __post_init__(self) -> None:
         p = np.asarray(self.phases, dtype=float)
@@ -76,8 +75,6 @@ class PhaseFactors:
         d = p.size - 1
         if self.parity != ("even" if d % 2 == 0 else "odd"):
             raise ValueError("parity does not match the phase count")
-        if self.convention != "wx":
-            raise ValueError("only the wx convention is supported")
 
     @property
     def degree(self) -> int:
@@ -90,7 +87,6 @@ class PhaseFactors:
                 "parity": self.parity,
                 "phases": list(self.phases),
                 "residual": self.residual,
-                "convention": self.convention,
             }
         )
 
@@ -101,7 +97,6 @@ class PhaseFactors:
             np.asarray(d["phases"], dtype=float),
             d["parity"],
             float(d["residual"]),
-            d.get("convention", "wx"),
         )
 
 
@@ -454,4 +449,4 @@ def qsvt_apply(
         seq_minus = _qsvt_product(enc.u, block_dim, -phi.phases, on_query)
         had = kron(HADAMARD, np.eye(seq_plus.shape[0]))
         u_out = had @ select_qubit([[seq_plus, None], [None, seq_minus]]) @ had
-    return BlockEncoding(u_out, enc.a + 1, enc.n, 1.0, enc.eps + phi.residual)
+    return BlockEncoding(u_out, enc.a + 1, enc.n)

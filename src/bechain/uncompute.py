@@ -179,10 +179,6 @@ def uncompute_hermitian(
     Returns the amplified encoding (all working ancillae selected at 0, the
     dilation qubit being the single surviving ancilla) plus a report.  Raises
     :class:`EpsilonExceededError` if the measured error misses ``eps``.
-
-    Inputs declaring a nonzero error are accepted: the pipeline targets the
-    encoding's actual block, so an input inexactness of ε₀ inflates the
-    guarantee against the intended matrix by up to ε₀ per query.
     """
     enc = normalize_selectors(vh)
     if not is_hermitian(enc.block(), DEFAULT_TOL):

@@ -147,3 +147,6 @@ def test_invalid_flag_combination_exit_code():
 
     assert main(["ecg-verify", "--trials", "0"]) == 2
     assert main(["macg-sweep", "--K", ""]) == 2
+    # sweeps that read one value of a list flag refuse a longer list
+    assert main(["oaa-demo", "--p", "1,2"]) == 2
+    assert main(["gen-trotter", "--K", "8,16"]) == 2

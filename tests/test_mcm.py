@@ -6,11 +6,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.linalg import expm
+from scipy.special import gammaln
 
 from bechain.encoding import BlockEncoding, deviation_profile, random_block_encoding, random_near_identity
 from bechain.linalg import PAULI_X, Tolerance, haar_unitary, is_unitary, kron, opnorm
 from bechain.mcm import (
-    ErrorReport,
     MCMCircuit,
     MCMRaw,
     _hermitian_basis,
@@ -339,6 +339,17 @@ def leakage_norm(be: BlockEncoding) -> float:
     return max(opnorm(be.u[dn:, :dn]), opnorm(be.u[:dn, dn:]))
 
 
+def run_bound_lgamma(k: int, p: int, eta: float) -> float:
+    """Σ_{w ≡ 0 mod 2^p} Σ_j C(w−1, j−1)·C(K−w, j)·η^{2j}, each term via lgamma."""
+    lg = gammaln(np.arange(k + 2))  # lg[x] = ln Γ(x)
+    log_terms = []
+    for w in range(2**p, k, 2**p):
+        j = np.arange(1, min(w, k - w) + 1)
+        log_terms.append(lg[w] - lg[j] - lg[w - j + 1] + lg[k - w + 1] - lg[j + 1]
+                         - lg[k - w - j + 1] + 2 * j * math.log(eta))
+    return float(np.sum(np.exp(np.concatenate(log_terms))))
+
+
 def test_macg_run_bound_brute_force_and_attained():
     for k in range(2, 11):
         strings = ["".join(b) for b in itertools.product("01", repeat=k - 1)]
@@ -363,26 +374,20 @@ def test_macg_run_bound_brute_force_and_attained():
                 assert 0.9 * bound <= e <= bound
     with pytest.raises(ValueError, match="eta"):
         macg_run_bound(8, 1, 2.5)
-    with pytest.raises(ValueError, match="capped"):
-        macg_run_bound(513, 1, 0.1)
+    # no K cap: past the brute-force range, against the double sum in log space
+    for k in (513, 1024, 4096):
+        for p in (1, 2):
+            for eta in (0.5 / k, 0.05):
+                assert macg_run_bound(k, p, eta) == pytest.approx(
+                    run_bound_lgamma(k, p, eta), rel=1e-9, abs=0
+                )
+    assert macg_run_bound(4096, 1, 2.0) == math.inf
 
 
 def test_pmacg_small_k_within_bound():
     encs = near_identity_set(8, 0.5, 600)
     e = gadget_error_exact(gadget_pmacg(encs, 1), block_product(encs))
     assert e <= macg_run_bound(8, 1, deviation_profile(encs).eta_max)
-
-
-# --- error report ------------------------------------------------------------
-
-
-def test_error_report_pass_flag():
-    r = ErrorReport(8, 1, 1, 0.5, 0.05, 1e-4, 1e-3, 7)
-    assert r.passed
-    r2 = ErrorReport(8, 1, 1, 0.5, 0.05, 1e-2, 1e-3, 7)
-    assert not r2.passed
-    row = r.to_row()
-    assert list(row) == ["K", "m", "p", "c", "eta_max", "e_measured", "e_bound", "pass", "seed"]
 
 
 # --- lower-bound probe -------------------------------------------------------
