@@ -58,7 +58,7 @@ class RunConfig:
     seed: int = 0
     out_path: str = "-"
     fmt: str = "csv"
-    k_list: tuple[int, ...] = (8, 16, 32)
+    k_list: Optional[tuple[int, ...]] = (8, 16, 32)  # None: gen-dyson without --K
     p_list: tuple[int, ...] = (1, 2)
     c: float = 0.5
     delta: float = 0.25
@@ -68,7 +68,7 @@ class RunConfig:
     trials: int = 1
     m: int = 1
     restarts: int = 20
-    t_total: float = 1.0
+    t_total: Optional[float] = 1.0  # None: gen-dyson without --t
     config_path: Optional[str] = None
 
     def __post_init__(self) -> None:
@@ -78,7 +78,7 @@ class RunConfig:
             raise ValueError("format must be csv or json")
         if self.trials < 1:
             raise ValueError("trials must be at least 1")
-        if not self.k_list or not self.p_list or not self.eps_list:
+        if () in (self.k_list, self.p_list, self.eps_list):
             raise ValueError("list parameters must be non-empty")
 
 
@@ -256,7 +256,12 @@ def _gen_trotter_row(cfg: RunConfig, trial: int) -> dict:
 
 
 def _gen_dyson_row(cfg: RunConfig, trial: int) -> dict:
+    # --K and --t default to None here, so that one given beside --config,
+    # whose file sets K and T, is refused rather than ignored
     if cfg.config_path:
+        for flag, value in (("K", cfg.k_list), ("t", cfg.t_total)):
+            if value is not None:
+                raise ValueError(f"gen-dyson --config reads K and T from the file; drop --{flag}")
         spec_json = json.loads(Path(cfg.config_path).read_text())
     else:
         spec_json = {
@@ -266,8 +271,8 @@ def _gen_dyson_row(cfg: RunConfig, trial: int) -> dict:
                 "omega": 1.0,
             },
             "lam": 0.5,
-            "T": cfg.t_total,
-            "K": _only(cfg, "K"),
+            "T": 1.0 if cfg.t_total is None else cfg.t_total,
+            "K": 16 if cfg.k_list is None else _only(cfg, "K"),
         }
     encs = dyson_sequence(dyson_spec_from_json(spec_json))
     return _sequence_row(encs, trial_seed(cfg.seed, trial))
@@ -305,7 +310,7 @@ _SWEEPS = {
         dict(K="16", trials=1, t=1.0), ERROR_HEADER,
         lambda cfg: range(cfg.trials), _gen_trotter_row),
     "gen-dyson": Sweep(
-        dict(K="16", trials=1, t=1.0, config=None), ERROR_HEADER,
+        dict(K=None, trials=1, t=None, config=None), ERROR_HEADER,
         lambda cfg: range(cfg.trials), _gen_dyson_row),
 }
 

@@ -18,7 +18,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from itertools import combinations, product
-from typing import Callable, Literal, Sequence
+from typing import Literal, Sequence
 
 import numpy as np
 from scipy.optimize import minimize
@@ -436,36 +436,75 @@ def _hermitian_basis(dim: int) -> np.ndarray:
     return np.stack(basis)
 
 
-def _probe_residual(encodings: Sequence[BlockEncoding], m: int) -> Callable[[np.ndarray], float]:
+class _ProbeObjective:
     """θ ↦ ‖A_[K] − ⟨0^{m+a}|U_MCM|0^{m+a}⟩‖, with V_1, …, V_{K−1}, Q from θ's K blocks.
 
     The corner is Σ_x c_x·S_x with c_x = ⟨0^m|Q·Π_i V_i^{x_i}|0^m⟩.  The S_x do
     not depend on θ and are computed once, so an evaluation is one batched
     ``eigh``, a binary tree of 2^m-vectors, one contraction and one 2^n norm.
+    ``value_and_grad`` adds the analytic gradient to the same forward pass.
     """
-    n, _ = _common_registers(encodings)
-    k = len(encodings)
-    if not (2 <= k <= 4 and 1 <= m <= 2):
-        raise ValueError("probe supports K in [2, 4] and m in [1, 2]")
-    if m > math.ceil(math.log2(k)):
-        raise ValueError("probe is for widths at or below the ⌈log₂K⌉ bound")
-    target = block_product(encodings)
-    dm, dn = 2**m, 2**n
-    basis = _hermitian_basis(dm).reshape(dm * dm - 1, dm * dm)
-    # product order: bit i of a string's index is the measurement after U_{i+1}
-    seqs = np.stack([bad_sequence_oracle(encodings, "".join(x)).ravel()
-                     for x in product("01", repeat=k - 1)])
-    root = np.eye(1, dm, dtype=complex)  # ⟨0^m| as a row
 
-    def residual(theta: np.ndarray) -> float:
-        evals, evecs = np.linalg.eigh((theta.reshape(k, -1) @ basis).reshape(k, dm, dm))
+    def __init__(self, encodings: Sequence[BlockEncoding], m: int) -> None:
+        n, _ = _common_registers(encodings)
+        k = len(encodings)
+        if not (2 <= k <= 4 and 1 <= m <= 2):
+            raise ValueError("probe supports K in [2, 4] and m in [1, 2]")
+        if m > math.ceil(math.log2(k)):
+            raise ValueError("probe is for widths at or below the ⌈log₂K⌉ bound")
+        self.k, self.dn = k, 2**n
+        self.target = block_product(encodings)
+        self.generators = _hermitian_basis(2**m)
+        self.basis = self.generators.reshape(len(self.generators), -1)
+        # product order: bit i of a string's index is the measurement after U_{i+1}
+        self.seqs = np.stack([bad_sequence_oracle(encodings, "".join(x)).ravel()
+                              for x in product("01", repeat=k - 1)])
+
+    def _forward(self, theta: np.ndarray):
+        """Eigen-decompositions, unitaries, tree levels, c and the residual matrix."""
+        dm = self.generators.shape[-1]
+        evals, evecs = np.linalg.eigh((theta.reshape(self.k, -1) @ self.basis)
+                                      .reshape(self.k, dm, dm))
         mats = (evecs * np.exp(1j * evals)[:, None, :]) @ evecs.conj().swapaxes(1, 2)
-        vecs = root  # rows (Π_i V_i^{x_i}|0^m⟩)ᵀ
+        levels = [np.eye(1, dm, dtype=complex)]  # rows (Π_i V_i^{x_i}|0^m⟩)ᵀ, from ⟨0^m|
         for v in mats[:-1]:
-            vecs = np.concatenate([vecs, vecs @ v.T])
-        return opnorm(target - ((vecs @ mats[-1][0]) @ seqs).reshape(dn, dn))
+            levels.append(np.concatenate([levels[-1], levels[-1] @ v.T]))
+        c = levels[-1] @ mats[-1][0]
+        return evals, evecs, mats, levels, self.target - (c @ self.seqs).reshape(self.dn, self.dn)
 
-    return residual
+    def __call__(self, theta: np.ndarray) -> float:
+        return opnorm(self._forward(theta)[-1])
+
+    def value_and_grad(self, theta: np.ndarray) -> tuple[float, np.ndarray]:
+        """r and ∂r/∂θ = −Re(Σ_x ∂c_x·u†S_x v), (u, v) the residual matrix's top singular pair.
+
+        ∂V_j/∂θ_{j,a} = W·(F ∘ W†G_aW)·W† for H_j = WΛW†, with F the divided
+        differences of e^{iλ} in the branch-free sinc form, exact on repeated
+        eigenvalues.  The tangents of every V_j run through one tree: before
+        layer j they are zero, at layer j they enter on the x_j = 1 branch.
+        At a repeated top singular value the result is a subgradient.
+        """
+        evals, evecs, mats, levels, resid = self._forward(theta)
+        left, sing, right = np.linalg.svd(resid)
+        g = self.seqs @ np.outer(left[:, 0].conj(), right[0].conj()).ravel()
+        half = (evals[:, :, None] + evals[:, None, :]) / 2
+        gap = evals[:, :, None] - evals[:, None, :]
+        f = 1j * np.exp(1j * half) * np.sinc(gap / (2 * np.pi))
+        w, wh = evecs[:, None], evecs.conj().swapaxes(1, 2)[:, None]
+        dmats = w @ (f[:, None] * (wh @ self.generators @ w)) @ wh  # (K, 4^m − 1, 2^m, 2^m)
+        tangents = np.zeros((self.k - 1, len(self.generators), 1, dmats.shape[-1]), dtype=complex)
+        for j, (v, level) in enumerate(zip(mats[:-1], levels)):
+            branch = tangents @ v.T
+            branch[j] += level @ dmats[j].swapaxes(1, 2)
+            tangents = np.concatenate([tangents, branch], axis=2)
+        dc = np.concatenate([(tangents @ mats[-1][0]).reshape(-1, len(g)),
+                             dmats[-1][:, 0] @ levels[-1].T])
+        return float(sing[0]), -(dc @ g).real
+
+
+def _probe_residual(encodings: Sequence[BlockEncoding], m: int) -> _ProbeObjective:
+    """The probe's objective for K encodings at measurement width m (see ``_ProbeObjective``)."""
+    return _ProbeObjective(encodings, m)
 
 
 def lower_bound_probe(
@@ -478,23 +517,28 @@ def lower_bound_probe(
 
     The unitaries are parameterized as exp(i Σ θ_a G_a) over a traceless
     Hermitian basis (4^m − 1 parameters each) and optimized by multi-restart
-    Nelder–Mead with finite-difference (BFGS) refinement.  Evidence only: a
-    residual bounded away from zero corroborates, but does not prove, the
-    ⌈log₂K⌉ lower bound.  At least one restart is required.
+    Nelder–Mead, each restart polished by BFGS on the analytic gradient
+    ∂r/∂θ = −Re(Σ_x ∂c_x·u†S_x v), with (u, v) the top singular pair of the
+    residual matrix.  ∂V/∂θ_a = W·(F ∘ W†G_aW)·W† for H = WΛW†, where
+    F_pq = i·e^{i(λ_p+λ_q)/2}·sinc((λ_p−λ_q)/2π) has no branch on repeated
+    eigenvalues.  At a repeated top singular value the formula gives a
+    subgradient.  Evidence only: a residual bounded away from zero
+    corroborates, but does not prove, the ⌈log₂K⌉ lower bound.  At least one
+    restart is required.
     """
     if restarts < 1:
         raise ValueError(f"restarts must be at least 1, got {restarts}")
-    residual = _probe_residual(encodings, m)
+    objective = _probe_residual(encodings, m)
     rng = np.random.default_rng(seed)
     best = np.inf
     for _ in range(restarts):
         x0 = rng.uniform(-1.5, 1.5, len(encodings) * (4**m - 1))
         res = minimize(
-            residual, x0, method="Nelder-Mead",
+            objective, x0, method="Nelder-Mead",
             options={"maxiter": 900, "fatol": 1e-13, "xatol": 1e-11},
         )
         best = min(best, float(res.fun))
-        polish = minimize(residual, res.x, method="BFGS",
+        polish = minimize(objective.value_and_grad, res.x, jac=True, method="BFGS",
                           options={"maxiter": 80, "gtol": 1e-12})
         best = min(best, float(polish.fun))
         if best <= 1e-10:

@@ -91,6 +91,17 @@ def test_gen_dyson_dissipative_config_uses_normalized_deviation(tmp_path, capsys
     assert e <= macg_run_bound(int(row["K"]), 1, eta_max)
 
 
+def test_lb_probe_exact_width_k4_m2_n1_passes(tmp_path, capsys):
+    # at m = ⌈log₂K⌉ an exact circuit exists, and the analytic-gradient polish reaches it
+    args = ["lb-probe", "--K", "4", "--m", "2", "--n", "1", "--trials", "1",
+            "--restarts", "20", "--seed", "42"]
+    code, data = _run_cli(args, tmp_path, "lb.csv")
+    row = next(csv.DictReader(data.decode().splitlines()))
+    assert (row["K"], row["m"], row["pass"]) == ("4", "2", "true")
+    assert float(row["e_measured"]) <= 1e-8
+    assert code == 0
+
+
 def test_subcommands_reject_flags_they_do_not_read():
     from bechain.cli import main
 
@@ -142,7 +153,7 @@ def test_run_config_validation():
     with pytest.raises(ValueError, match="trials"):
         RunConfig("ecg-verify", trials=0)
 
-def test_invalid_flag_combination_exit_code():
+def test_invalid_flag_combination_exit_code(tmp_path, capsys):
     from bechain.cli import main
 
     assert main(["ecg-verify", "--trials", "0"]) == 2
@@ -150,3 +161,11 @@ def test_invalid_flag_combination_exit_code():
     # sweeps that read one value of a list flag refuse a longer list
     assert main(["oaa-demo", "--p", "1,2"]) == 2
     assert main(["gen-trotter", "--K", "8,16"]) == 2
+    # the config file sets K and T, so --K and --t beside it are refused
+    cfg_path = tmp_path / "dyson.json"
+    cfg_path.write_text(json.dumps({"generator": {"family": "cosine", "matrix": [
+        [[0.0, 0.0], [0.0, -0.5]], [[0.0, -0.5], [0.0, 0.0]]]}, "T": 1.0, "K": 8}))
+    for flag, value in (("K", "8,16"), ("t", "5")):
+        capsys.readouterr()
+        assert main(["gen-dyson", "--config", str(cfg_path), f"--{flag}", value]) == 2
+        assert f"--{flag}" in capsys.readouterr().err

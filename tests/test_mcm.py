@@ -436,6 +436,31 @@ def test_probe_residual_matches_full_unitary(k, m, seed, n):
     assert abs(_probe_residual(encs, m)(theta.ravel()) - expected) <= 1e-12
 
 
+# a traceless 2×2 generator has a repeated eigenvalue only at 0, so that case is m = 2 only
+@pytest.mark.parametrize("k, m, degenerate", [
+    (k, m, d) for k, m in [(2, 1), (3, 1), (3, 2), (4, 1), (4, 2)]
+    for d in (None, "zero row", "repeated eigenvalue") if m == 2 or d != "repeated eigenvalue"
+])
+@settings(deadline=None, max_examples=8)
+@given(seed=st.integers(0, 10**6), n=st.integers(1, 2), row=st.integers(0, 3))
+def test_probe_value_and_grad_matches_central_differences(k, m, degenerate, seed, n, row):
+    encs = random_encodings(k, seed, n=n)
+    theta = np.random.default_rng(seed).uniform(-1.5, 1.5, (k, 4**m - 1))
+    if degenerate == "zero row":  # H_j = 0: all eigenvalues equal
+        theta[row % k] = 0.0
+    elif degenerate == "repeated eigenvalue":  # H_j ∝ diag(1, 1, 1, −3)
+        theta[row % k] = 0.0
+        theta[row % k, -1] = 0.7
+    objective = _probe_residual(encs, m)
+    value, grad = objective.value_and_grad(theta.ravel())
+    assert abs(value - objective(theta.ravel())) <= 1e-12
+    h = 1e-6
+    steps = h * np.eye(theta.size)
+    central = [(objective(theta.ravel() + e) - objective(theta.ravel() - e)) / (2 * h)
+               for e in steps]
+    np.testing.assert_allclose(grad, central, rtol=0, atol=1e-6)
+
+
 def test_sum_bad_sequences_validation():
     encs = near_identity_set(4, 0.5, 800)
     with pytest.raises(ValueError, match="unknown method"):
