@@ -102,6 +102,17 @@ def test_lb_probe_exact_width_k4_m2_n1_passes(tmp_path, capsys):
     assert code == 0
 
 
+def test_lb_probe_exact_width_k3_m2_n1_passes(tmp_path, capsys):
+    # the smooth Frobenius stage hands the polish a point it can take to the exact circuit
+    args = ["lb-probe", "--K", "3", "--m", "2", "--n", "1", "--trials", "1",
+            "--restarts", "20", "--seed", "42"]
+    code, data = _run_cli(args, tmp_path, "lb.csv")
+    row = next(csv.DictReader(data.decode().splitlines()))
+    assert (row["K"], row["m"], row["pass"]) == ("3", "2", "true")
+    assert float(row["e_measured"]) <= 1e-8
+    assert code == 0
+
+
 def test_subcommands_reject_flags_they_do_not_read():
     from bechain.cli import main
 

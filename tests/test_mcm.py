@@ -14,7 +14,7 @@ from bechain.mcm import (
     MCMCircuit,
     MCMRaw,
     _hermitian_basis,
-    _probe_residual,
+    _ProbeObjective,
     add_unitary,
     bad_sequence_oracle,
     block_product,
@@ -433,31 +433,53 @@ def test_probe_residual_matches_full_unitary(k, m, seed, n):
     mats = [expm(1j * sum(c * g for c, g in zip(row, basis))) for row in theta]
     circ = MCMCircuit(encs, m, tuple(mats[:-1]), mats[-1])
     expected = gadget_error_exact(circ, block_product(encs))
-    assert abs(_probe_residual(encs, m)(theta.ravel()) - expected) <= 1e-12
+    assert abs(_ProbeObjective(encs, m)(theta.ravel()) - expected) <= 1e-12
 
 
 # a traceless 2×2 generator has a repeated eigenvalue only at 0, so that case is m = 2 only
-@pytest.mark.parametrize("k, m, degenerate", [
+PROBE_GRADIENT_CASES = [
     (k, m, d) for k, m in [(2, 1), (3, 1), (3, 2), (4, 1), (4, 2)]
     for d in (None, "zero row", "repeated eigenvalue") if m == 2 or d != "repeated eigenvalue"
-])
-@settings(deadline=None, max_examples=8)
-@given(seed=st.integers(0, 10**6), n=st.integers(1, 2), row=st.integers(0, 3))
-def test_probe_value_and_grad_matches_central_differences(k, m, degenerate, seed, n, row):
-    encs = random_encodings(k, seed, n=n)
+]
+
+
+def probe_point(k: int, m: int, degenerate: str | None, seed: int, row: int) -> np.ndarray:
     theta = np.random.default_rng(seed).uniform(-1.5, 1.5, (k, 4**m - 1))
     if degenerate == "zero row":  # H_j = 0: all eigenvalues equal
         theta[row % k] = 0.0
     elif degenerate == "repeated eigenvalue":  # H_j ∝ diag(1, 1, 1, −3)
         theta[row % k] = 0.0
         theta[row % k, -1] = 0.7
-    objective = _probe_residual(encs, m)
-    value, grad = objective.value_and_grad(theta.ravel())
-    assert abs(value - objective(theta.ravel())) <= 1e-12
-    h = 1e-6
-    steps = h * np.eye(theta.size)
-    central = [(objective(theta.ravel() + e) - objective(theta.ravel() - e)) / (2 * h)
-               for e in steps]
+    return theta.ravel()
+
+
+def central_differences(fun, theta: np.ndarray, h: float = 1e-6) -> list[float]:
+    return [(fun(theta + e) - fun(theta - e)) / (2 * h) for e in h * np.eye(theta.size)]
+
+
+@pytest.mark.parametrize("k, m, degenerate", PROBE_GRADIENT_CASES)
+@settings(deadline=None, max_examples=8)
+@given(seed=st.integers(0, 10**6), n=st.integers(1, 2), row=st.integers(0, 3))
+def test_probe_value_and_grad_matches_central_differences(k, m, degenerate, seed, n, row):
+    theta = probe_point(k, m, degenerate, seed, row)
+    objective = _ProbeObjective(random_encodings(k, seed, n=n), m)
+    value, grad = objective.value_and_grad(theta)
+    assert abs(value - objective(theta)) <= 1e-12
+    np.testing.assert_allclose(grad, central_differences(objective, theta), rtol=0, atol=1e-6)
+
+
+@pytest.mark.parametrize("k, m, degenerate", PROBE_GRADIENT_CASES)
+@settings(deadline=None, max_examples=8)
+@given(seed=st.integers(0, 10**6), n=st.integers(1, 2), row=st.integers(0, 3))
+def test_probe_frobenius_and_grad_matches_central_differences(k, m, degenerate, seed, n, row):
+    theta = probe_point(k, m, degenerate, seed, row)
+    objective = _ProbeObjective(random_encodings(k, seed, n=n), m)
+    value, grad = objective.frobenius_and_grad(theta)
+    resid = objective._forward(theta)[-1]
+    assert value == pytest.approx(np.linalg.norm(resid, "fro") ** 2, rel=1e-12, abs=1e-15)
+    r = objective(theta)  # ‖R‖₂² ≤ ‖R‖²_F ≤ rank(R)·‖R‖₂², and rank(R) ≤ 2^n
+    assert r**2 * (1 - 1e-12) <= value <= 2**n * r**2 * (1 + 1e-12)
+    central = central_differences(lambda x: objective.frobenius_and_grad(x)[0], theta)
     np.testing.assert_allclose(grad, central, rtol=0, atol=1e-6)
 
 
