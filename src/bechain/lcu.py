@@ -1,20 +1,21 @@
-"""Linear combinations of unitaries and the two bespoke circuits of the
-ancilla-uncomputation pipeline.
+"""Linear combinations of unitaries: one block-form kernel, three callers.
 
-``lcu_build`` is the generic PREP/SELECT/PREP† sandwich (symmetric prep,
-normalized coefficients).  The pipeline circuits need *sub-normalized*
-weights, which a symmetric prep cannot realize, so they use a generalized
-form with distinct left/right single-qubit prep unitaries: for weights
-(w₁, w₂) with |w₁| + |w₂| ≤ 1 there exist unit vectors l, r with
-l_j·r_j = w_j, and ``(P_L ⊗ I)·(|0⟩⟨0|⊗T₁ + |1⟩⟨1|⊗T₂)·(P_R ⊗ I)`` then
-block-encodes exactly w₁T₁ + w₂T₂.
+:func:`lcu` sums the PREP·SELECT·PREP sandwich block by block.
+:func:`lcu_build` is its symmetric form (P_R = P_L†, normalized weights);
+``qsp.qsvt_apply`` averages the ±Φ sequences with a Hadamard prep; and
+:func:`pair_select` realizes the pipeline's *sub-normalized* weights, which a
+symmetric prep cannot, with distinct single-qubit preps: for (w₁, w₂) with
+|w₁| + |w₂| ≤ 1 there are unit vectors l, r with l_j·r_j = w_j, and the
+sandwich then block-encodes exactly w₁T₁ + w₂T₂.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import Optional, Sequence
+
 import numpy as np
+import numpy.typing as npt
 
 from .encoding import BlockEncoding, normalize_selectors, pad_ancillas
 from .linalg import (
@@ -24,9 +25,7 @@ from .linalg import (
     dagger,
     is_hermitian,
     is_unitary,
-    kron,
     householder_column,
-    proj_zero,
     select_qubit,
 )
 
@@ -38,61 +37,56 @@ if not math.sqrt(8.0) * SIN_PI_14 / 9.0 <= 1.0 / 14.0:
     raise AssertionError("LCU coefficient identity sqrt(8)·sin(pi/14)/9 <= 1/14 failed")
 
 
-@dataclass(frozen=True)
-class LCUSpec:
-    """Coefficients and unitary terms of a linear combination Σ c_j T_j."""
+def lcu(prep_l: npt.ArrayLike, prep_r: npt.ArrayLike, terms: Sequence[npt.ArrayLike]) -> CMatrix:
+    """(P_L ⊗ I)·(Σ_j |j⟩⟨j| ⊗ T_j)·(P_R ⊗ I), prep register most significant.
 
-    coeffs: tuple[complex, ...]
-    terms: tuple[CMatrix, ...]
-    prep_dim: int
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "coeffs", tuple(complex(c) for c in self.coeffs))
-        object.__setattr__(self, "terms", tuple(as_cmatrix(t) for t in self.terms))
-        if not self.terms:
-            raise ValueError("empty term list")
-        if len(self.coeffs) != len(self.terms):
-            raise ValueError("coefficient/term count mismatch")
-        dims = {t.shape for t in self.terms}
-        if len(dims) != 1:
-            raise ValueError("terms must share a common dimension")
-        for t in self.terms:
-            if not is_unitary(t, DEFAULT_TOL):
-                raise ValueError("all LCU terms must be unitary within 1e-10")
-        needed = max(1, len(self.terms) - 1).bit_length() if len(self.terms) > 1 else 0
-        if self.prep_dim < needed:
-            raise ValueError(f"prep_dim {self.prep_dim} < ceil(log2 #terms) = {needed}")
+    Block (i, k) is Σ_j P_L[i,j]·P_R[j,k]·T_j, written straight into the
+    output: O(#terms³·dim²) work and no full-size temporaries.
+    """
+    p_l, p_r = as_cmatrix(prep_l), as_cmatrix(prep_r)
+    terms = [as_cmatrix(t) for t in terms]
+    m = len(terms)
+    if m == 0 or p_l.shape != (m, m) or p_r.shape != (m, m):
+        raise ValueError(f"prep shapes {p_l.shape}, {p_r.shape} do not match {m} terms")
+    dim = terms[0].shape[0]
+    if any(t.shape != (dim, dim) for t in terms):
+        raise ValueError("terms must be square matrices of one size")
+    coef = p_l[:, :, None] * p_r[None, :, :]  # coef[i, j, k] = P_L[i,j]·P_R[j,k]
+    out = np.zeros((m * dim, m * dim), dtype=complex)
+    for i in range(m):
+        for k in range(m):
+            blk = out[i * dim : (i + 1) * dim, k * dim : (k + 1) * dim]
+            for j, t in enumerate(terms):
+                blk += coef[i, j, k] * t
+    return out
 
 
-def lcu_build(spec: LCUSpec) -> BlockEncoding:
-    """(Σ|c_j|, prep_dim, 0)-encoding of Σ c_j T_j via PREP/SELECT/PREP†.
+def lcu_build(coeffs: Sequence[complex], terms: Sequence[npt.ArrayLike]) -> BlockEncoding:
+    """(Σ|c_j|, ⌈log₂ #terms⌉, 0)-encoding of Σ c_j T_j via PREP/SELECT/PREP†.
 
     Coefficient phases are absorbed into the SELECT terms so PREP stays real
-    non-negative; PREP is a Householder completion of the amplitude column.
+    non-negative; PREP is a Householder completion of the amplitude column,
+    and the SELECT slots past the last term hold the identity.
     """
-    lam = sum(abs(c) for c in spec.coeffs)
+    terms = [as_cmatrix(t) for t in terms]
+    if not terms:
+        raise ValueError("empty term list")
+    if len(coeffs) != len(terms):
+        raise ValueError("coefficient/term count mismatch")
+    if not all(is_unitary(t, DEFAULT_TOL) for t in terms):
+        raise ValueError("all LCU terms must be unitary within 1e-10")
+    lam = sum(abs(c) for c in coeffs)
     if lam <= 0:
         raise ValueError("coefficients must not all vanish")
-    nprep = 2**spec.prep_dim
-    term_dim = spec.terms[0].shape[0]
-    amps = np.zeros(nprep)
-    for j, c in enumerate(spec.coeffs):
-        amps[j] = math.sqrt(abs(c) / lam)
-    prep = householder_column(amps.astype(complex))
-
-    select = np.zeros((nprep * term_dim, nprep * term_dim), dtype=complex)
-    for j in range(nprep):
-        if j < len(spec.terms):
-            phase = np.exp(1j * np.angle(spec.coeffs[j])) if spec.coeffs[j] != 0 else 1.0
-            blockj = phase * spec.terms[j]
-        else:
-            blockj = np.eye(term_dim)
-        select[j * term_dim : (j + 1) * term_dim, j * term_dim : (j + 1) * term_dim] = blockj
-
-    eye_t = np.eye(term_dim)
-    w = kron(prep, eye_t) @ select @ kron(dagger(prep), eye_t)
-    n = int(np.log2(term_dim))
-    return BlockEncoding(w, spec.prep_dim, n, alpha=lam)
+    prep_bits = (len(terms) - 1).bit_length()
+    amps = np.zeros(2**prep_bits, dtype=complex)
+    amps[: len(coeffs)] = np.sqrt(np.abs(coeffs) / lam)
+    prep = householder_column(amps)
+    term_dim = terms[0].shape[0]
+    phased = [np.exp(1j * np.angle(c)) * t for c, t in zip(coeffs, terms)]
+    phased += [np.eye(term_dim)] * (amps.size - len(terms))
+    w = lcu(prep, dagger(prep), phased)
+    return BlockEncoding(w, prep_bits, int(np.log2(term_dim)), alpha=lam)
 
 
 def _asym_prep_pair(w1: float, w2: float) -> tuple[CMatrix, CMatrix]:
@@ -112,18 +106,7 @@ def _asym_prep_pair(w1: float, w2: float) -> tuple[CMatrix, CMatrix]:
 
 def pair_select(w1: float, t1: CMatrix, w2: float, t2: CMatrix) -> CMatrix:
     """Unitary on one extra (most significant) qubit whose block is w1·T1 + w2·T2."""
-    t1 = as_cmatrix(t1)
-    t2 = as_cmatrix(t2)
-    if t1.shape != t2.shape:
-        raise ValueError("branch dimensions differ")
-    p_l, p_r = _asym_prep_pair(w1, w2)
-    eye = np.eye(t1.shape[0])
-    return kron(p_l, eye) @ select_qubit([[t1, None], [None, t2]]) @ kron(p_r, eye)
-
-
-def reflect_about_zero(a: int, n: int) -> CMatrix:
-    """(2Π_{0^a} − I) ⊗ I_n."""
-    return kron(2.0 * proj_zero(a) - np.eye(2**a), np.eye(2**n))
+    return lcu(*_asym_prep_pair(w1, w2), (t1, t2))
 
 
 def lcu_i_minus_h2(vh: BlockEncoding) -> BlockEncoding:
@@ -145,7 +128,8 @@ def _i_minus_gram(u: CMatrix, a: int, n: int) -> BlockEncoding:
     U† (2Π_{0^a} − I) U has block 2M†M − I; passing U† instead of U gives
     (I − MM†)/2.  Two queries to U per application.
     """
-    m = dagger(u) @ reflect_about_zero(a, n) @ u
+    sign = np.where(np.arange(u.shape[0]) < 2**n, 1.0, -1.0)  # 2Π_{0^a} − I on the ancillae
+    m = (dagger(u) * sign) @ u
     return BlockEncoding(pair_select(0.25, np.eye(2 ** (a + n)), -0.25, m), a + 1, n)
 
 
@@ -163,9 +147,22 @@ def lcu_w_uh(vh: BlockEncoding, vsqrt: BlockEncoding) -> BlockEncoding:
     a2 = max(enc_h.a, enc_s.a)
     enc_h = pad_ancillas(enc_h, a2)
     enc_s = pad_ancillas(enc_s, a2)
-    # register layout: [prep 1][anc a2][dilation qubit][n]
-    t1 = select_qubit([[None, enc_s.u], [enc_s.u, None]], split=a2)  # X on the dilation qubit
-    t2 = select_qubit([[enc_h.u, None], [None, -enc_h.u]], split=a2)  # Z on the dilation qubit
+    # X on the dilation qubit for the root branch, Z for the input branch
+    return _w_lcu(
+        [[None, enc_s.u], [enc_s.u, None]], [[enc_h.u, None], [None, -enc_h.u]], a2, vh.n
+    )
+
+
+_Grid = Sequence[Sequence[Optional[npt.ArrayLike]]]
+
+
+def _w_lcu(root_grid: _Grid, input_grid: _Grid, a2: int, n: int) -> BlockEncoding:
+    """sin(π/14)·U from the root branch (weight √8·s) and the input branch (weight s).
+
+    Each grid is a ``select_qubit`` grid placing the dilation qubit after the
+    a2 ancillae: the layout is [prep 1][anc a2][dilation qubit][n].
+    """
     s = SIN_PI_14
-    w = pair_select(math.sqrt(8.0) * s, t1, s, t2)
-    return BlockEncoding(w, 1 + a2, vh.n + 1)
+    t_root = select_qubit(root_grid, split=a2)
+    t_input = select_qubit(input_grid, split=a2)
+    return BlockEncoding(pair_select(math.sqrt(8.0) * s, t_root, s, t_input), 1 + a2, n + 1)

@@ -20,7 +20,8 @@ from numpy.polynomial import chebyshev as np_cheb
 from scipy.optimize import least_squares, linprog
 
 from .encoding import BlockEncoding, normalize_selectors
-from .linalg import CMatrix, HADAMARD, kron, select_qubit
+from .lcu import lcu
+from .linalg import CMatrix, HADAMARD, kron
 
 MAX_DEGREE = 512
 _QSP_SUP_LIMIT = 1.0 - 1e-6
@@ -433,9 +434,10 @@ def qsvt_apply(
     Returns an encoding with one extra ancilla whose block is the real target
     polynomial applied to the block's singular values — W·P(Σ)·V† for odd
     parity, V·P(Σ)·V† for even — which for Hermitian blocks is the spectral
-    application P(M).  The ±Φ sequences are averaged via a Hadamard-conjugated
-    select on the new qubit to extract the real part.  ``on_query`` fires once
-    per U/U† application (the all-zero phase vector needs one sequence only).
+    application P(M).  The real part is the ±Φ average ½(U_Φ + U_{−Φ}): the
+    LCU of the two sequences with a Hadamard prep on the new qubit.
+    ``on_query`` fires once per U/U† application (the all-zero phase vector
+    needs one sequence only).
     """
     d = phi.degree
     if phi.parity != ("even" if d % 2 == 0 else "odd"):
@@ -447,6 +449,5 @@ def qsvt_apply(
         u_out = kron(np.eye(2), seq_plus)
     else:
         seq_minus = _qsvt_product(enc.u, block_dim, -phi.phases, on_query)
-        had = kron(HADAMARD, np.eye(seq_plus.shape[0]))
-        u_out = had @ select_qubit([[seq_plus, None], [None, seq_minus]]) @ had
+        u_out = lcu(HADAMARD, HADAMARD, (seq_plus, seq_minus))
     return BlockEncoding(u_out, enc.a + 1, enc.n)

@@ -24,7 +24,6 @@ fully unrolled circuit.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable
@@ -38,7 +37,7 @@ from .encoding import (
     normalize_selectors,
     verify_encoding,
 )
-from .lcu import SIN_PI_14, _i_minus_gram, lcu_w_uh, pair_select
+from .lcu import SIN_PI_14, _i_minus_gram, _w_lcu, lcu_w_uh
 from .linalg import (
     CMatrix,
     DEFAULT_TOL,
@@ -49,7 +48,6 @@ from .linalg import (
     is_unitary,
     mat_embed_block,
     opnorm,
-    select_qubit,
 )
 from .qsp import ChebPoly, PhaseFactors, _qsvt_product, approx_half_sqrt, qsvt_apply, solve_phases
 
@@ -206,12 +204,8 @@ def _w_general(
     """
     a2 = root_right.a
     pad = np.eye(2 ** (a2 - enc.a))
-    t_diag = select_qubit([[root_right.u, None], [None, -root_left.u]], split=a2)
-    t_off = select_qubit(
-        [[None, np.kron(pad, dagger(enc.u))], [np.kron(pad, enc.u), None]], split=a2
-    )
-    s = SIN_PI_14
-    return BlockEncoding(pair_select(math.sqrt(8.0) * s, t_diag, s, t_off), 1 + a2, enc.n + 1)
+    off = [[None, np.kron(pad, dagger(enc.u))], [np.kron(pad, enc.u), None]]
+    return _w_lcu([[root_right.u, None], [None, -root_left.u]], off, a2, enc.n)
 
 
 def uncompute_general(

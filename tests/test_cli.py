@@ -1,10 +1,13 @@
 import csv
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import bechain
 from bechain.cli import RunConfig, build_parser, config_from_args, run
 from bechain.mcm import macg_run_bound
 
@@ -123,9 +126,13 @@ def test_subcommands_reject_flags_they_do_not_read():
 
 
 def test_usage_error_exit_code():
+    # the child imports the same bechain as this process, installed or not
+    src = str(Path(bechain.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     proc = subprocess.run(
         [sys.executable, "-m", "bechain.cli", "bogus-subcommand"],
         capture_output=True,
+        env={**os.environ, "PYTHONPATH": path},
     )
     assert proc.returncode == 2
 

@@ -7,19 +7,21 @@ from hypothesis import strategies as st
 
 from bechain.encoding import BlockEncoding, dilate_hermitian, hermitian_test_encoding
 from bechain.lcu import (
-    LCUSpec,
     SIN_PI_14,
     _asym_prep_pair,
+    lcu,
     lcu_build,
     lcu_i_minus_h2,
     lcu_w_uh,
     pair_select,
 )
 from bechain.linalg import (
+    HADAMARD,
     PAULI_X,
     PAULI_Z,
     Tolerance,
     haar_unitary,
+    householder_column,
     is_unitary,
     opnorm,
     random_hermitian,
@@ -33,18 +35,18 @@ def test_coefficient_identity():
 
 def test_lcu_build_single_term():
     u = haar_unitary(4, np.random.default_rng(0))
-    be = lcu_build(LCUSpec((1.0,), (u,), 0))
+    be = lcu_build((1.0,), (u,))
     np.testing.assert_allclose(be.block(), u, atol=1e-12)
 
 
 def test_lcu_build_projector():
-    be = lcu_build(LCUSpec((0.5, 0.5), (np.eye(2), PAULI_Z), 1))
+    be = lcu_build((0.5, 0.5), (np.eye(2), PAULI_Z))
     np.testing.assert_allclose(be.alpha * be.block(), np.diag([1.0, 0.0]), atol=1e-12)
 
 
 def test_lcu_build_difference():
     u = haar_unitary(4, np.random.default_rng(1))
-    be = lcu_build(LCUSpec((0.5, -0.5), (np.eye(4), u @ u), 1))
+    be = lcu_build((0.5, -0.5), (np.eye(4), u @ u))
     np.testing.assert_allclose(be.alpha * be.block(), (np.eye(4) - u @ u) / 2, atol=1e-12)
 
 
@@ -55,8 +57,8 @@ def test_lcu_build_random_sums():
         dim = 2 ** int(rng.integers(1, 4))
         coeffs = tuple(rng.standard_normal() + 1j * rng.standard_normal() for _ in range(nterms))
         terms = tuple(haar_unitary(dim, rng) for _ in range(nterms))
-        spec = LCUSpec(coeffs, terms, max(1, (nterms - 1).bit_length()))
-        be = lcu_build(spec)
+        be = lcu_build(coeffs, terms)
+        assert be.a == (nterms - 1).bit_length()
         assert is_unitary(be.u, Tolerance(1e-10))
         direct = sum(c * t for c, t in zip(coeffs, terms))
         np.testing.assert_allclose(be.alpha * be.block(), direct, atol=1e-10)
@@ -64,11 +66,63 @@ def test_lcu_build_random_sums():
 
 def test_lcu_spec_validation():
     with pytest.raises(ValueError, match="empty"):
-        LCUSpec((), (), 1)
+        lcu_build((), ())
     with pytest.raises(ValueError, match="unitary"):
-        LCUSpec((1.0,), (np.diag([1.0, 0.5]),), 0)
-    with pytest.raises(ValueError, match="prep_dim"):
-        LCUSpec((1.0, 1.0, 1.0), tuple(np.eye(2) for _ in range(3)), 1)
+        lcu_build((1.0,), (np.diag([1.0, 0.5]),))
+    with pytest.raises(ValueError, match="mismatch"):
+        lcu_build((1.0,), (np.eye(2), np.eye(2)))
+    with pytest.raises(ValueError, match="one size"):
+        lcu_build((1.0, 1.0), (np.eye(2), np.eye(4)))
+    with pytest.raises(ValueError, match="vanish"):
+        lcu_build((0.0, 0.0), (np.eye(2), PAULI_Z))
+
+
+def _dense_lcu(p_l, p_r, terms):
+    # the reference sandwich kron(P_L, I) @ blockdiag(T) @ kron(P_R, I)
+    dim = terms[0].shape[0]
+    select = np.zeros((len(terms) * dim,) * 2, dtype=complex)
+    for j, t in enumerate(terms):
+        select[j * dim : (j + 1) * dim, j * dim : (j + 1) * dim] = t
+    eye = np.eye(dim)
+    return np.kron(p_l, eye) @ select @ np.kron(p_r, eye)
+
+
+@settings(deadline=None, max_examples=60)
+@given(
+    prep=st.sampled_from(["hadamard", "asym", "householder"]),
+    nterms=st.integers(2, 4),
+    dim=st.integers(2, 16),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_lcu_matches_dense_sandwich(prep, nterms, dim, seed):
+    rng = np.random.default_rng(seed)
+    if prep == "hadamard":
+        nterms = 2
+        p_l = p_r = HADAMARD
+    elif prep == "asym":
+        nterms = 2
+        w1 = rng.uniform(-1.0, 1.0)
+        p_l, p_r = _asym_prep_pair(w1, rng.uniform(-1.0, 1.0) * (1.0 - abs(w1)))
+    else:
+        v = rng.standard_normal(nterms) + 1j * rng.standard_normal(nterms)
+        p_l = householder_column(v / np.linalg.norm(v))
+        p_r = p_l.conj().T
+    terms = [haar_unitary(dim, rng) for _ in range(nterms)]
+    np.testing.assert_allclose(lcu(p_l, p_r, terms), _dense_lcu(p_l, p_r, terms), atol=1e-13)
+
+
+def test_lcu_validation():
+    eye = np.eye(2)
+    with pytest.raises(ValueError, match="prep shapes"):
+        lcu(np.eye(4), np.eye(4), (eye, eye))
+    with pytest.raises(ValueError, match="prep shapes"):
+        lcu(HADAMARD, np.eye(3), (eye, eye))
+    with pytest.raises(ValueError, match="prep shapes"):
+        lcu(np.zeros((0, 0)), np.zeros((0, 0)), ())
+    with pytest.raises(ValueError, match="one size"):
+        lcu(HADAMARD, HADAMARD, (eye, np.eye(4)))
+    with pytest.raises(ValueError, match="one size"):
+        lcu(HADAMARD, HADAMARD, (np.ones((2, 3)), np.ones((2, 3))))
 
 
 def test_pair_select_weights():
