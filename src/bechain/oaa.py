@@ -13,7 +13,7 @@ from typing import Optional
 
 import numpy as np
 
-from .linalg import CMatrix, DEFAULT_TOL, as_cmatrix, dagger, householder_column, is_unitary, kron
+from .linalg import CMatrix, DEFAULT_TOL, as_cmatrix, householder_column, is_unitary, kron
 from .mcm import MCMCircuit, gadget_error_exact, mcm_unitary
 
 MAX_AUTO_ITERATIONS = 1000  # each iteration is a dense product; admits α > sin(π/4004)
@@ -64,13 +64,11 @@ def reflect_signal(sig: int, total: int) -> CMatrix:
 
 
 def reflect_initial(u0: np.ndarray) -> CMatrix:
-    """2|ψ₀⟩⟨ψ₀| − I with |ψ₀⟩ = U₀|0…0⟩, built as U₀(2Π₀ − I)U₀†."""
+    """2|ψ₀⟩⟨ψ₀| − I with |ψ₀⟩ = U₀|0…0⟩, the rank-1 form of U₀(2Π₀ − I)U₀†."""
     u = as_cmatrix(u0)
     if not is_unitary(u, DEFAULT_TOL):
         raise ValueError("U0 is not unitary")
-    refl = -np.eye(u.shape[0], dtype=complex)
-    refl[0, 0] = 1.0
-    return u @ refl @ dagger(u)
+    return 2.0 * np.outer(u[:, 0], u[:, 0].conj()) - np.eye(u.shape[0])
 
 
 def auto_iterations(alpha: float) -> int:

@@ -393,36 +393,38 @@ def _qsvt_product(
     rot_phases: np.ndarray,
     on_query: Optional[Callable[[], None]] = None,
 ) -> CMatrix:
-    """Dense product R'₀ U R'₁ U† R'₂ ⋯ (alternating), including the i^d phase.
+    """Alternating product R₀ ⋯ U† R_{d−1} U R_d times i^d, R = e^{iφ(2Π−I)}.
 
-    ``block_dim`` is the dimension of the ⟨0^a| block; the projector-controlled
-    phase e^{iφ(2Π−I)} multiplies the first ``block_dim`` rows/columns by e^{iφ}
-    and the rest by e^{−iφ}.  ``on_query`` fires once per U/U† application.
+    Π keeps the first ``block_dim`` = b rows/columns (the ⟨0^a| block).  The
+    rightmost signal factor is U, so even degrees give polynomials in M†M.
+    Each U·R·U† is the rank-b update e^{−iφ}·I + 2i·sinφ·c·c†, c = U[:, :b],
+    and each U†·R·U the same with r†r, r = U[:b, :] (Gilyén–Su–Low–Wiebe):
+    (d−1)·dim²·b multiply-adds instead of the dense (d−1)·dim³.  This needs
+    U·U† = I, which every caller's ``BlockEncoding`` unitary meets to 1e-10.
+    ``on_query`` fires d times, once per U/U† application of the circuit.
     """
     refl, gphase = _reflection_phases(rot_phases)
-    dim = u.shape[0]
     d = refl.size - 1
 
     def phase_vec(phi: float) -> np.ndarray:
-        v = np.full(dim, np.exp(-1j * phi), dtype=complex)
+        v = np.full(u.shape[0], np.exp(-1j * phi), dtype=complex)
         v[:block_dim] = np.exp(1j * phi)
         return v
 
-    udag = u.conj().T
-    out = None
-    for j in range(1, d + 1):
-        # the rightmost (first-applied) signal factor is always U, so even
-        # degrees transform the right singular basis (polynomials in M†M)
-        factor = u if (d - j) % 2 == 0 else udag
-        if on_query is not None:
-            on_query()
-        if out is None:
-            out = phase_vec(refl[0])[:, None] * factor
-        else:
-            out = out @ factor
-        out = out * phase_vec(refl[j])[None, :]
-    if out is None:  # degree 0
-        out = np.diag(phase_vec(refl[0]))
+    for _ in range(d if on_query is not None else 0):
+        on_query()
+    c = u[:, :block_dim] if d % 2 else u[:block_dim].conj().T  # c = r† for even d
+    c_dag = c.conj().T
+    if d % 2:  # R₀·[U R₁ U†]·R₂ ⋯ [U R_{d−2} U†]·R_{d−1}·U·R_d
+        out = phase_vec(refl[d - 1])[:, None] * u * phase_vec(refl[d])
+    else:  # R₀·[U† R₁ U]·R₂ ⋯ [U† R_{d−1} U]·R_d
+        out = np.diag(phase_vec(refl[d]))
+    for j in range(d - 1 - d % 2, 0, -2):
+        # at j = d − 1 (even d only) ``out`` is still the diagonal R_d
+        proj = c_dag * np.diag(out) if j == d - 1 else c_dag @ out
+        out *= np.exp(-1j * refl[j])
+        out += (2j * np.sin(refl[j]) * c) @ proj
+        out *= phase_vec(refl[j - 1])[:, None]
     return gphase * out
 
 
@@ -435,9 +437,9 @@ def qsvt_apply(
     polynomial applied to the block's singular values — W·P(Σ)·V† for odd
     parity, V·P(Σ)·V† for even — which for Hermitian blocks is the spectral
     application P(M).  The real part is the ±Φ average ½(U_Φ + U_{−Φ}): the
-    LCU of the two sequences with a Hadamard prep on the new qubit.
-    ``on_query`` fires once per U/U† application (the all-zero phase vector
-    needs one sequence only).
+    LCU of the two sequences (each built from rank-2^n pair updates) with a
+    Hadamard prep on the new qubit.  ``on_query`` fires once per U/U†
+    application of the circuit (the all-zero phase vector needs one only).
     """
     d = phi.degree
     if phi.parity != ("even" if d % 2 == 0 else "odd"):

@@ -18,7 +18,7 @@ Both cases run through one core, :func:`_uncompute`; the Hermitian case takes
 one square root where the general case takes two.  Query counting is
 oracle-style: every application of a W/W† factor in the top-level
 amplification product adds the number of input-encoding uses embedded in
-that factor, so the counter equals the dense-multiplication count of the
+that factor, so the counter equals the number of U/U† applications in the
 fully unrolled circuit.
 """
 

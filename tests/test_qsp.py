@@ -8,10 +8,12 @@ from numpy.polynomial import chebyshev as np_cheb
 
 from bechain.encoding import dilate_hermitian, hermitian_test_encoding
 from bechain.lcu import lcu_i_minus_h2
-from bechain.linalg import Tolerance, herm_funcmat, is_unitary, opnorm, random_hermitian
+from bechain.linalg import Tolerance, haar_unitary, herm_funcmat, is_unitary, opnorm, random_hermitian
 from bechain.qsp import (
     ChebPoly,
     PhaseFactors,
+    _qsvt_product,
+    _reflection_phases,
     approx_half_sqrt,
     chebyshev_phases,
     qsp_eval,
@@ -189,6 +191,41 @@ def test_qsvt_spectral_consistency(seed):
     oracle = herm_funcmat(h, lambda x: p(x))
     assert opnorm(out.block() - oracle) <= 1e-8
     assert is_unitary(out.u, Tolerance(1e-10))
+
+
+def _dense_qsvt_product(u, block_dim, rot_phases):
+    """Reference: the alternating dense product R₀ ⋯ U† R_{d−1} U R_d times i^d."""
+    refl, gphase = _reflection_phases(rot_phases)
+    d = refl.size - 1
+
+    def phase_vec(phi):
+        v = np.full(u.shape[0], np.exp(-1j * phi), dtype=complex)
+        v[:block_dim] = np.exp(1j * phi)
+        return v
+
+    out = np.diag(phase_vec(refl[0]))
+    for j in range(1, d + 1):
+        factor = u if (d - j) % 2 == 0 else u.conj().T
+        out = (out @ factor) * phase_vec(refl[j])
+    return gphase * out
+
+
+@settings(deadline=None, max_examples=80)
+@given(
+    dim_log=st.integers(1, 6),
+    block_log=st.integers(0, 6),
+    degree=st.integers(0, 12),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_qsvt_product_matches_dense_loop(dim_log, block_log, degree, seed):
+    rng = np.random.default_rng(seed)
+    u = haar_unitary(2**dim_log, rng)
+    block_dim = 2 ** min(block_log, dim_log)
+    phases = rng.uniform(-np.pi, np.pi, degree + 1)
+    queries = []
+    got = _qsvt_product(u, block_dim, phases, on_query=lambda: queries.append(1))
+    assert len(queries) == degree
+    np.testing.assert_allclose(got, _dense_qsvt_product(u, block_dim, phases), rtol=0, atol=1e-12)
 
 
 def test_qsvt_parity_mismatch():
