@@ -9,12 +9,11 @@ needs.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from functools import reduce
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy.linalg import expm
 
 from .encoding import BlockEncoding, dilate_general
 from .linalg import (
@@ -45,6 +44,8 @@ class TrotterSpec:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "terms", tuple(as_cmatrix(h) for h in self.terms))
+        if not math.isfinite(self.t):
+            raise ValueError("t must be finite")
         if not self.terms:
             raise ValueError("need at least one Hamiltonian term")
         if self.k < 1:
@@ -74,8 +75,10 @@ class DysonSpec:
             raise ValueError("interval count must be positive")
         if self.micro_steps < 32:
             raise ValueError("micro_steps must be at least 32")
-        if self.lam < 0:
-            raise ValueError("lam must be non-negative")
+        if not (math.isfinite(self.lam) and self.lam >= 0):
+            raise ValueError("lam must be finite and non-negative")
+        if not math.isfinite(self.t_total):
+            raise ValueError("t_total must be finite")
 
 
 def controlled_embedding(u_step: CMatrix) -> BlockEncoding:
@@ -103,19 +106,74 @@ def trotter_sequence(spec: TrotterSpec) -> list[BlockEncoding]:
     return encodings
 
 
+# Largest scaled norm ‖h·A‖/2^s the Taylor kernel expands without squaring.
+_TAYLOR_THETA = 0.5
+
+
+def _expm1_stack(a: np.ndarray, h: float, norm: float) -> np.ndarray:
+    """exp(h·A) − I for every matrix of a stack with ‖A_i‖ ≤ norm.
+
+    Taylor series with scaling and squaring: h·A is scaled by 2^−s to norm at
+    most ξ ≤ 1/2, and the degree m is the least whose tail bound
+    ξ^{m+1}/(m+1)!·e^ξ is below the unit roundoff.  The result stays in the
+    exp − I form, squared as 2E + E², so a near-identity step keeps the digits
+    that adding I would round away.
+    """
+    bound = norm * abs(h)
+    if not math.isfinite(bound / _TAYLOR_THETA):
+        raise ValueError(f"‖A‖·h = {norm!r}·{abs(h)!r} is too large to scale and square")
+    squarings = math.frexp(bound / _TAYLOR_THETA)[1] if bound > _TAYLOR_THETA else 0
+    x = a * (h * 2.0**-squarings)
+    xi = bound * 2.0**-squarings
+    degree, tail = 0, xi
+    while tail * math.exp(xi) > 2.0**-53:
+        degree += 1
+        tail *= xi / (degree + 1)
+    eye = np.eye(x.shape[-1])
+    e = np.zeros_like(x)
+    for k in range(degree, 0, -1):  # Horner: X(I + X/2(I + … (I + X/m)))
+        e = (x @ (eye + e)) / k
+    for _ in range(squarings):
+        e = 2.0 * e + e @ e
+    return e
+
+
+def _ordered_product(e: np.ndarray) -> np.ndarray:
+    """(I + E_{n−1})⋯(I + E_0) by pairwise batched products, later step on the left.
+
+    Each round multiplies neighbours (I + E_{2i+1})(I + E_{2i}) in the exp − I
+    form; an odd last factor moves up to the next round unchanged.
+    """
+    while len(e) > 1:
+        later, earlier = e[1::2], e[: len(e) - 1 : 2]
+        pairs = later + earlier + later @ earlier
+        e = np.concatenate([pairs, e[-1:]]) if len(e) % 2 else pairs
+    return np.eye(e.shape[-1]) + e[0]
+
+
 def dyson_propagators(spec: DysonSpec) -> list[CMatrix]:
-    """Ξ_j over each interval by a midpoint-exponential micro-step product, batched."""
+    """Ξ_j over each interval by a midpoint-exponential micro-step product.
+
+    Each interval's micro-steps are one stack: one norm check, one batched
+    exponential and a pairwise product.  The exponential's degree follows the
+    largest measured ‖A(t)‖, which the check has bounded by lam + 1e-8.
+    """
     dt = spec.t_total / spec.k
     h = dt / spec.micro_steps
     out: list[CMatrix] = []
     for j in range(spec.k):
         t_mid = [j * dt + (s + 0.5) * h for s in range(spec.micro_steps)]
-        a_mid = np.stack([as_cmatrix(spec.a_of_t(t)) for t in t_mid])
-        over = np.linalg.svd(a_mid, compute_uv=False)[:, 0] > spec.lam + 1e-8
+        a_mid = np.asarray([spec.a_of_t(t) for t in t_mid], dtype=complex)
+        if a_mid.ndim != 3 or a_mid.shape[1] != a_mid.shape[2] or a_mid.shape[1] == 0:
+            raise ValueError(f"A(t) must be a non-empty square matrix, got shape {a_mid.shape[1:]}")
+        finite = np.isfinite(a_mid).all(axis=(1, 2))
+        if not finite.all():
+            raise ValueError(f"A(t) has non-finite entries at t = {t_mid[int(np.argmin(finite))]}")
+        norms = np.linalg.svd(a_mid, compute_uv=False)[:, 0]
+        over = norms > spec.lam + 1e-8
         if over.any():
             raise ValueError(f"‖A(t)‖ exceeds lam at t = {t_mid[int(np.argmax(over))]}")
-        steps = expm(a_mid * h)
-        out.append(reduce(lambda xi, step: step @ xi, steps))
+        out.append(_ordered_product(_expm1_stack(a_mid, h, float(norms.max()))))
     return out
 
 

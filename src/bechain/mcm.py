@@ -61,7 +61,10 @@ class MCMCircuit:
     def __post_init__(self) -> None:
         encs = tuple(normalize_selectors(be) for be in self.encodings)
         object.__setattr__(self, "encodings", encs)
-        object.__setattr__(self, "v_list", tuple(as_cmatrix(v) for v in self.v_list))
+        # gadgets pass one increment K − 1 times: convert and validate each
+        # distinct matrix once
+        distinct = {key: as_cmatrix(v) for key, v in {id(v): v for v in self.v_list}.items()}
+        object.__setattr__(self, "v_list", tuple(distinct[id(v)] for v in self.v_list))
         object.__setattr__(self, "q", as_cmatrix(self.q))
         n, a = _common_registers(encs)
         k = len(encs)
@@ -74,7 +77,7 @@ class MCMCircuit:
         if len(self.v_list) != k - 1:
             raise ValueError(f"expected {k - 1} interleaved unitaries, got {len(self.v_list)}")
         dm = 2**self.m
-        for v in self.v_list:
+        for v in distinct.values():
             if v.shape != (dm, dm) or not is_unitary(v, DEFAULT_TOL):
                 raise ValueError("every V_i must be an m-qubit unitary")
         if self.q.shape != (dm, dm) or not is_unitary(self.q, DEFAULT_TOL):

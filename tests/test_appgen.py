@@ -1,9 +1,13 @@
+import math
+
 import numpy as np
 import pytest
+from scipy.linalg import expm
 
 from bechain.appgen import (
     DysonSpec,
     TrotterSpec,
+    _expm1_stack,
     controlled_embedding,
     dyson_propagators,
     dyson_sequence,
@@ -13,7 +17,7 @@ from bechain.appgen import (
     trotter_spec_from_json,
 )
 from bechain.encoding import deviation, deviation_profile
-from bechain.linalg import PAULI_X, PAULI_Z, Tolerance, is_unitary, opnorm
+from bechain.linalg import PAULI_X, PAULI_Y, PAULI_Z, Tolerance, is_unitary, opnorm
 from bechain.mcm import block_product, gadget_error_exact, gadget_pmacg, macg_bound
 
 
@@ -47,6 +51,9 @@ def test_trotter_validation():
         TrotterSpec((np.array([[0.0, 1.0], [0.0, 0.0]]),), 1.0, 2)
     with pytest.raises(ValueError, match="norm"):
         TrotterSpec((2.0 * PAULI_X,), 1.0, 2)
+    for t in (math.nan, math.inf):
+        with pytest.raises(ValueError, match="t must be finite"):
+            TrotterSpec((PAULI_X,), t, 2)
 
 
 def test_dyson_zero_generator():
@@ -82,6 +89,81 @@ def test_dyson_lambda_violation():
     spec = DysonSpec(lambda t: -2j * PAULI_X, 0.5, 1.0, 2, 32)
     with pytest.raises(ValueError, match="lam"):
         dyson_propagators(spec)
+    # ‖A(t)‖ = t first exceeds 0.5 at the first midpoint of the second
+    # interval, 0.5 + h/2 with h = 1/64
+    spec = DysonSpec(lambda t: -1j * t * PAULI_X, 0.5, 1.0, 2, 32)
+    with pytest.raises(ValueError, match="^‖A\\(t\\)‖ exceeds lam at t = 0.5078125$"):
+        dyson_propagators(spec)
+
+
+def test_dyson_spec_rejects_non_finite_fields():
+    for lam in (math.nan, math.inf):
+        with pytest.raises(ValueError, match="lam"):
+            DysonSpec(lambda t: -2j * PAULI_X, lam, 1.0, 2, 32)
+    for t_total in (math.nan, -math.inf):
+        with pytest.raises(ValueError, match="t_total"):
+            DysonSpec(lambda t: -0.5j * PAULI_X, 0.5, t_total, 2, 32)
+    cfg = {"generator": {"family": "two_term_pauli"}, "lam": math.nan, "T": 1.0, "K": 2}
+    with pytest.raises(ValueError, match="lam"):
+        dyson_spec_from_json(cfg)
+
+
+def _reference_propagators(spec: DysonSpec) -> list[np.ndarray]:
+    """Per-micro-step scipy expm at the same midpoints, multiplied in sequence."""
+    dt = spec.t_total / spec.k
+    h = dt / spec.micro_steps
+    out = []
+    for j in range(spec.k):
+        xi = np.eye(np.shape(spec.a_of_t(0.0))[0], dtype=complex)
+        for s in range(spec.micro_steps):
+            xi = expm(np.asarray(spec.a_of_t(j * dt + (s + 0.5) * h)) * h) @ xi
+        out.append(xi)
+    return out
+
+
+@pytest.mark.parametrize(
+    "a_of_t, lam, t_total, k, micro_steps",
+    [
+        # anti-Hermitian, backwards in time too
+        (lambda t: -1j * (0.6 * np.cos(t) * PAULI_X + 0.3 * PAULI_Z), 0.9, 1.0, 4, 32),
+        (lambda t: -1j * (0.6 * np.cos(t) * PAULI_X + 0.3 * PAULI_Z), 0.9, -1.0, 2, 32),
+        # dissipative and non-normal: Hermitian part −0.2·I + 0.15·cos(t)·Z ≤ −0.05
+        (lambda t: -0.2 * np.eye(2) + 0.15 * np.cos(t) * PAULI_Z - 0.5j * PAULI_X, 0.85, 1.0, 4, 32),
+        # ‖A‖·h = 1.5 > 1/2: the exponential scales and squares
+        (lambda t: -1.5j * (np.cos(t) * PAULI_X + np.sin(t) * PAULI_Z), 1.5, 32.0, 1, 32),
+        (lambda t: -0.3 * np.eye(2) - 1.2j * np.cos(t) * PAULI_Y, 1.5, 64.0, 2, 32),
+        # odd micro-step count: the pairwise product carries a last factor
+        (lambda t: -1j * (0.6 * np.cos(t) * PAULI_X + 0.3 * PAULI_Z), 0.9, 1.0, 3, 33),
+    ],
+)
+def test_dyson_batched_kernel_matches_sequential_expm(a_of_t, lam, t_total, k, micro_steps):
+    spec = DysonSpec(a_of_t, lam, t_total, k, micro_steps)
+    for got, ref in zip(dyson_propagators(spec), _reference_propagators(spec), strict=True):
+        assert opnorm(got - ref) <= 1e-13
+
+
+def test_expm1_stack_matches_scipy_up_to_norm_7():
+    rng = np.random.default_rng(7)
+    for norm in (0.0, 1e-4, 0.3, 0.5, 0.7, 2.0, 7.0):
+        x = rng.standard_normal((8, 4, 4)) + 1j * rng.standard_normal((8, 4, 4))
+        x *= norm / np.linalg.svd(x, compute_uv=False)[:, :1, None]
+        got = np.eye(4) + _expm1_stack(x, 1.0, norm)
+        for g, xm in zip(got, x):
+            ref = expm(xm)
+            assert opnorm(g - ref) <= 1e-14 * opnorm(ref)
+
+
+def test_dyson_rejects_malformed_generator_values():
+    def nan_at_one_t(t):
+        return np.full((2, 2), np.nan) if 0.25 < t < 0.26 else -0.5j * PAULI_X
+
+    with pytest.raises(ValueError, match="non-finite"):
+        dyson_propagators(DysonSpec(nan_at_one_t, 0.5, 1.0, 2, 32))
+    with pytest.raises(ValueError, match="square"):
+        dyson_propagators(DysonSpec(lambda t: np.zeros((2, 3)), 0.5, 1.0, 2, 32))
+    # ‖A‖·h = 1e200·1e200/32 overflows: refused, not looped on
+    with pytest.raises(ValueError, match="too large"):
+        dyson_propagators(DysonSpec(lambda t: -1e200j * PAULI_X, 1e200, 1e200, 1, 32))
 
 
 def test_controlled_embedding_deviation_transfer():

@@ -202,6 +202,21 @@ def test_deviation_profile_measures_max():
     assert all(e <= 0.05 + 1e-12 for e in prof.etas)
 
 
+def test_deviation_profile_stacked_svd_equals_per_matrix_norms():
+    rng = np.random.default_rng(13)
+    encs = [random_near_identity(1, 1, 0.1, 1), random_near_identity(2, 1, 0.2, 2)]
+    encs.append(dilate_general(np.array([[0.9, 0.1j], [0.05, 0.95]])))
+    encs += [random_near_identity(1, 1, 0.3, 3), random_block_encoding(2, 1, 4)]
+    encs.append(dilate_general(0.5 * haar_unitary(4, rng)))
+    assert {be.dim for be in encs} == {4, 8}
+    assert {be.bra_sel for be in encs} == {"0", "1"}
+    etas = deviation_profile(encs).etas
+    assert list(etas) == [deviation(be) for be in encs]
+    assert list(etas) == [opnorm(normalize_selectors(be).u - np.eye(be.dim)) for be in encs]
+    empty = deviation_profile([])
+    assert empty.etas == () and empty.eta_max == 0.0
+
+
 def test_block_encoding_validation():
     with pytest.raises(ValueError, match="unitary"):
         BlockEncoding(np.diag([1.0, 0.5]).astype(complex), 1, 0)

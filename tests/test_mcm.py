@@ -103,6 +103,18 @@ def test_mcm_validation():
         MCMCircuit(tuple(encs), 1, (), np.eye(2, dtype=complex))
 
 
+def test_mcm_validates_every_distinct_counter():
+    # the gadgets share one increment object across all K − 1 slots; a
+    # non-unitary V anywhere among such shared slots is still caught
+    encs = random_encodings(6, 30)
+    add = add_unitary(1)
+    for pos in (0, 2, 4):
+        v_list = [add] * 5
+        v_list[pos] = np.diag([1.0, 0.5]).astype(complex)
+        with pytest.raises(ValueError, match="every V_i"):
+            MCMCircuit(tuple(encs), 1, tuple(v_list), np.eye(2, dtype=complex))
+
+
 # --- simplification lemma ----------------------------------------------------
 
 
