@@ -61,14 +61,15 @@ class BlockEncoding:
         dim = 2 ** (self.a + self.n)
         if self.u.shape != (dim, dim):
             raise ValueError(f"unitary shape {self.u.shape} does not match a={self.a}, n={self.n}")
-        if self.alpha <= 0:
-            raise ValueError("alpha must be positive")
-        if not self.bra_sel:
-            object.__setattr__(self, "bra_sel", "0" * self.a)
-        if not self.ket_sel:
-            object.__setattr__(self, "ket_sel", "0" * self.a)
-        if len(self.bra_sel) != self.a or len(self.ket_sel) != self.a:
-            raise ValueError("selector length must equal the ancilla count")
+        if not 0.0 < self.alpha < np.inf:  # NaN fails both comparisons
+            raise ValueError(f"alpha must be positive and finite, got {self.alpha!r}")
+        for name in ("bra_sel", "ket_sel"):
+            sel = getattr(self, name) or "0" * self.a
+            object.__setattr__(self, name, sel)
+            if len(sel) != self.a:
+                raise ValueError("selector length must equal the ancilla count")
+            if sel.strip("01"):
+                raise ValueError(f"{name} must be a bitstring, got {sel!r}")
         if not is_unitary(self.u, DEFAULT_TOL):
             raise ValueError("u is not unitary within 1e-10")
 

@@ -76,12 +76,23 @@ def is_unitary(m: npt.ArrayLike, tol: Tolerance = DEFAULT_TOL) -> bool:
     """True iff ``‖M†M − I‖ ≤ atol``.
 
     For square M this also decides ``‖MM† − I‖ ≤ atol``: the two deviations
-    have the same spectrum, so one Gram product suffices.
+    have the same spectrum, so one Gram product suffices.  With M = X + iY it
+    is built from real products, Re(M†M) = [X;Y]ᵀ[X;Y] (one symmetric rank-k
+    update) and Im(M†M) = P − Pᵀ with P = XᵀY: half the multiply-adds of the
+    complex product.
     """
     arr = as_cmatrix(m)
-    if arr.shape[0] != arr.shape[1]:
+    dim = arr.shape[0]
+    if arr.shape[1] != dim:
         raise ValueError(f"non-square matrix of shape {arr.shape}")
-    return _opnorm_within(arr.conj().T @ arr - np.eye(arr.shape[0]), tol.atol)
+    xy = np.concatenate([arr.real, arr.imag])
+    dev = np.empty((dim, dim, 2))  # interleaved (real, imag): viewed as complex below
+    p = xy[:dim].T @ xy[dim:]
+    np.subtract(p, p.T, out=dev[..., 1])
+    gram = xy.T @ xy
+    gram.reshape(-1)[:: dim + 1] -= 1.0  # the diagonal: subtract I
+    dev[..., 0] = gram
+    return _opnorm_within(dev.view(complex)[..., 0], tol.atol)
 
 
 def is_hermitian(m: npt.ArrayLike, tol: Tolerance = DEFAULT_TOL) -> bool:

@@ -21,7 +21,6 @@ from itertools import combinations, product
 from typing import Literal, Sequence
 
 import numpy as np
-from scipy.optimize import minimize
 
 from .encoding import BlockEncoding, deviation_profile, normalize_selectors
 from .linalg import (
@@ -234,9 +233,12 @@ def gadget_pmacg(encodings: Sequence[BlockEncoding], p: int) -> MCMCircuit:
 def block_product(encodings: Sequence[BlockEncoding]) -> CMatrix:
     """A_K ⋯ A_2 A_1 from the encodings' blocks directly."""
     encs = [normalize_selectors(be) for be in encodings]
-    out = encs[0].block()
-    for be in encs[1:]:
-        out = be.block() @ out
+    n, _ = _common_registers(encs)
+    dn = 2**n
+    blocks = np.stack([be.u[:dn, :dn] for be in encs])  # each ⟨0^a|U_i|0^a⟩, contiguous
+    out = blocks[0]
+    for block in blocks[1:]:
+        out = block @ out
     return out
 
 
@@ -278,7 +280,8 @@ def _leakage_recursion(encodings: Sequence[BlockEncoding], p: int) -> CMatrix:
     classes[0] = encs[0].u[:, :dn]
     for be in encs[1:]:
         failed = classes[:, dn:, :].copy()
-        classes[1:, dn:, :] = np.roll(failed[1:], 1, axis=0)
+        classes[2:, dn:, :] = failed[1:-1]
+        classes[1, dn:, :] = failed[-1]  # r = 2^p − 1 wraps to r = 0
         classes[1 + 1 % period, dn:, :] += failed[0]  # a first failure: count 1
         classes[0, dn:, :] = 0.0
         classes = be.u @ classes
@@ -341,8 +344,8 @@ def macg_bound(k: int, p: int, c: float) -> float:
     r = (η_max²(K−1)/2^p)^{2^p} ≤ 1/2; outside it the geometric-series step
     fails and the bound is refused.
     """
-    if k < 2 or p < 1 or c <= 0:
-        raise ValueError("need K >= 2, p >= 1, c > 0")
+    if k < 2 or p < 1 or not c > 0:  # NaN fails c > 0
+        raise ValueError(f"need K >= 2, p >= 1, c > 0; got c = {c!r}")
     period = 2**p
     eta = c / k
     r = (eta**2 * (k - 1) / period) ** period
@@ -532,6 +535,8 @@ def lower_bound_probe(
     stage.  Evidence only: a residual bounded away from zero corroborates, but
     does not prove, the ⌈log₂K⌉ lower bound.  At least one restart is required.
     """
+    from scipy.optimize import minimize  # deferred: `import bechain` loads numpy only
+
     if restarts < 1:
         raise ValueError(f"restarts must be at least 1, got {restarts}")
     objective = _ProbeObjective(encodings, m)

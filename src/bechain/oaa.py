@@ -121,7 +121,10 @@ def oaa_boost_report(
         raise ValueError("gadget error must be below 1 for OAA to make sense")
     tgt = as_cmatrix(target)
     psi = np.asarray(input_state, dtype=complex).reshape(-1)
-    psi = psi / np.linalg.norm(psi)
+    norm = np.linalg.norm(psi)
+    if not 1e-12 <= norm < np.inf:  # NaN fails both comparisons
+        raise ValueError(f"input_state must be finite and nonzero, got norm {norm!r}")
+    psi = psi / norm
     good = tgt @ psi
     if np.linalg.norm(good) < 1e-12:
         raise ValueError("vanishing good amplitude: ‖A_[K]|ψ⟩‖ ≈ 0")

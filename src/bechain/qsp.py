@@ -17,7 +17,6 @@ from typing import Callable, Optional
 
 import numpy as np
 from numpy.polynomial import chebyshev as np_cheb
-from scipy.optimize import least_squares, linprog
 
 from .encoding import BlockEncoding, normalize_selectors
 from .lcu import lcu
@@ -135,6 +134,8 @@ def _cheb_nodes(lo: float, hi: float, count: int) -> np.ndarray:
 
 def _half_sqrt_lp(degree: int, lo_fit: float, eta: float) -> Optional[np.ndarray]:
     """One LP solve: even coefficients of a minimax fit, or None on failure."""
+    from scipy.optimize import linprog  # deferred: `import bechain` loads numpy only
+
     ncoef = degree // 2 + 1
     x_fit = _cheb_nodes(lo_fit, 1.0, max(6 * ncoef, 90))
     x_bnd = _cheb_nodes(0.0, 1.0, max(10 * ncoef, 240))
@@ -312,6 +313,8 @@ def solve_phases(p: ChebPoly, max_restarts: int = 10) -> PhaseFactors:
     must have definite parity and sup-norm at most 1 (≤ 1−1e−6 for guaranteed
     convergence); rescale first if needed.
     """
+    from scipy.optimize import least_squares  # deferred: `import bechain` loads numpy only
+
     if p.parity not in ("even", "odd"):
         raise ValueError("solve_phases needs a definite-parity polynomial")
     degree = p.degree

@@ -125,16 +125,47 @@ def test_subcommands_reject_flags_they_do_not_read():
         assert exc.value.code == 2
 
 
-def test_usage_error_exit_code():
-    # the child imports the same bechain as this process, installed or not
+def _child_env() -> dict:
+    """Environment for a fresh interpreter that imports the same bechain as
+    this process, installed or not."""
     src = str(Path(bechain.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return {**os.environ, "PYTHONPATH": path}
+
+
+def test_usage_error_exit_code():
     proc = subprocess.run(
         [sys.executable, "-m", "bechain.cli", "bogus-subcommand"],
         capture_output=True,
-        env={**os.environ, "PYTHONPATH": path},
+        env=_child_env(),
     )
     assert proc.returncode == 2
+
+
+COLD_IMPORT_CHILD = """
+import sys
+import bechain, bechain.cli
+from bechain import block_product, gadget_error_exact, gadget_pmacg, random_near_identity
+
+def scipy_modules():
+    return sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
+
+encs = [random_near_identity(1, 1, 0.1, seed) for seed in range(4)]
+gadget_error_exact(gadget_pmacg(encs, 1), block_product(encs))
+assert not scipy_modules(), scipy_modules()
+bechain.approx_half_sqrt(0.25, 0.1)
+assert "scipy.optimize" in sys.modules, scipy_modules()
+"""
+
+
+def test_cold_import_loads_scipy_only_on_first_solver_call():
+    # Part II (gadgets, OAA, generators) is pure numpy; scipy.optimize serves the
+    # LP, the phase solver and the probe, and loads when one of them first runs
+    proc = subprocess.run(
+        [sys.executable, "-c", COLD_IMPORT_CHILD],
+        capture_output=True, text=True, env=_child_env(),
+    )
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_failed_rows_exit_code(tmp_path, capsys):

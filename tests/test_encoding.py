@@ -223,6 +223,21 @@ def test_block_encoding_validation():
     with pytest.raises(ValueError, match="alpha"):
         BlockEncoding(np.eye(2, dtype=complex), 1, 0, alpha=0.0)
 
+
+def test_block_encoding_rejects_non_finite_alpha_and_non_bitstring_selectors():
+    # NaN compares False with everything: a bare `alpha <= 0` check lets it
+    # through, and verify_encoding then returns NaN
+    for alpha in (np.nan, np.inf, -np.inf):
+        with pytest.raises(ValueError, match="alpha"):
+            BlockEncoding(np.eye(4, dtype=complex), 1, 1, alpha=alpha)
+    with pytest.raises(ValueError, match="bra_sel"):
+        BlockEncoding(np.eye(4), 1, 1, bra_sel="x")
+    with pytest.raises(ValueError, match="ket_sel"):
+        BlockEncoding(np.eye(8), 2, 1, ket_sel="0 ")
+    be = BlockEncoding(np.eye(8), 2, 1, bra_sel="10", ket_sel="10")
+    assert (be.bra_sel, be.ket_sel) == ("10", "10")
+
+
 def test_random_near_identity_deterministic():
     a = random_near_identity(1, 1, 0.05, 9)
     b = random_near_identity(1, 1, 0.05, 9)

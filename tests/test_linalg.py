@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import bechain.linalg as linalg_module
 from bechain.linalg import (
     PAULI_X,
     PAULI_Z,
@@ -223,6 +224,60 @@ def test_is_unitary_matches_svd_definition(seed, dim, regime, atol):
     assert (np.linalg.norm(gram_devs[0]) <= atol) == (regime == "frobenius")
     by_svd = all(opnorm(e) <= atol for e in gram_devs)
     assert is_unitary(m, Tolerance(atol)) == by_svd == DEVIATION_REGIMES[regime]
+
+
+def _captured_unitarity_deviation(m, monkeypatch):
+    """The deviation matrix is_unitary hands to its verdict, and that verdict."""
+    seen, within = [], linalg_module._opnorm_within
+
+    def capture(dev, atol):
+        seen.append(dev)
+        return within(dev, atol)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(linalg_module, "_opnorm_within", capture)
+        verdict = is_unitary(m)
+    return seen[0], verdict
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3, 7, 64, 512])
+def test_is_unitary_real_gram_matches_complex_gram(dim, monkeypatch):
+    # Re(M†M) = [X;Y]ᵀ[X;Y] and Im(M†M) = XᵀY − YᵀX, against the complex product
+    rng = np.random.default_rng(dim)
+    for m in (rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim)),
+              haar_unitary(dim, rng) * np.sqrt(rng.uniform(0.5, 1.5, dim))):
+        reference = m.conj().T @ m - np.eye(dim)
+        dev, verdict = _captured_unitarity_deviation(m, monkeypatch)
+        assert not verdict
+        scale = np.linalg.norm(reference)
+        assert abs(np.linalg.norm(dev) - scale) <= 1e-12 * scale
+        assert np.max(np.abs(dev - reference)) <= 1e-12 * scale
+
+
+@pytest.mark.parametrize("dim", [1, 2, 8, 64, 512])
+def test_is_unitary_verdict_at_default_tolerance(dim, monkeypatch):
+    # M = W·diag(√(1 + d))·V†: the defect's spectrum is d, on both sides of 1e-10
+    rng = np.random.default_rng(100 + dim)
+    w, v = haar_unitary(dim, rng), haar_unitary(dim, rng)
+    signs = rng.choice([-1.0, 1.0], dim)
+    spectra = {
+        "frobenius accepts": (signs * 0.02e-10, True),
+        "svd accepts": (signs * 0.9e-10, True),  # ‖d‖ = 0.9e-10·√dim > 1e-10 for dim ≥ 2
+        "rejects": (np.where(np.arange(dim) == dim // 2, 1.1e-10, signs * 0.02e-10), False),
+    }
+    svd_calls = []
+    counted = linalg_module.opnorm
+    monkeypatch.setattr(linalg_module, "opnorm", lambda e: svd_calls.append(1) or counted(e))
+    for name, (d, expected) in spectra.items():
+        m = (w * np.sqrt(1.0 + d)) @ v.conj().T
+        svd_calls.clear()
+        assert is_unitary(m) == expected, name
+        reference = m.conj().T @ m - np.eye(dim)
+        frobenius_over = np.linalg.norm(reference) > 1e-10
+        assert len(svd_calls) == frobenius_over, name  # the SVD runs only past ‖·‖_F
+        assert linalg_module._opnorm_within(reference, 1e-10) == expected, name
+        if name == "svd accepts" and dim > 1:
+            assert frobenius_over
 
 
 @settings(deadline=None, max_examples=60)

@@ -297,6 +297,12 @@ def test_macg_bound_regime_guard():
         macg_bound(2, 1, 6.0)
 
 
+def test_macg_bound_rejects_nan_c():
+    # NaN fails both the c <= 0 test and the regime test, so it needs its own
+    with pytest.raises(ValueError, match="c > 0"):
+        macg_bound(8, 1, math.nan)
+
+
 def test_min_k_for_eps():
     assert min_k_for_eps(2.0, 1, 0.5) == 1  # degenerate boundary: K >= e·c²/2^p
     expected = math.ceil(math.e * 0.25 / 2.0 * math.sqrt(2e4))

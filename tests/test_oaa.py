@@ -1,4 +1,5 @@
 import time
+import warnings
 
 import numpy as np
 import pytest
@@ -130,6 +131,18 @@ def test_oaa_rejects_vanishing_amplitude():
     target = block_product(encs)
     with pytest.raises(ValueError, match="vanishing"):
         oaa_boost_report(circ, target, np.array([0.0, 1.0]))
+
+
+def test_oaa_rejects_zero_or_non_finite_input_state():
+    encs = [random_block_encoding(1, 1, 70 + i) for i in range(2)]
+    circ = gadget_lw19(encs)
+    target = block_product(encs)
+    # checked before normalizing: no divide-by-zero RuntimeWarning on the way
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for psi in ([0.0, 0.0], [np.nan, 1.0], [np.inf, 0.0]):
+            with pytest.raises(ValueError, match="input_state"):
+                oaa_boost_report(circ, target, np.array(psi))
 
 
 def test_aa_problem_validation():
