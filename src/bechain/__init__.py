@@ -57,7 +57,6 @@ from .mcm import (
     macg_run_bound,
     mcm_from_raw,
     mcm_unitary,
-    min_k_for_eps,
     raw_unitary,
     seqnorm_bound_check,
     sum_bad_sequences,

@@ -19,7 +19,6 @@ from .linalg import (
     DEFAULT_TOL,
     PAULI_X,
     PAULI_Z,
-    Tolerance,
     as_cmatrix,
     bit_index,
     haar_unitary,
@@ -123,7 +122,8 @@ def deviation_profile(encodings: Sequence[BlockEncoding]) -> DeviationProfile:
     for i, be in enumerate(encodings):
         by_dim.setdefault(be.dim, []).append(i)
     for dim, idx in by_dim.items():
-        devs = np.stack([normalize_selectors(encodings[i]).u for i in idx]) - np.eye(dim)
+        devs = np.stack([normalize_selectors(encodings[i]).u for i in idx])
+        devs.reshape(len(idx), -1)[:, :: dim + 1] -= 1.0  # U − I in place
         etas[idx] = np.linalg.svd(devs, compute_uv=False)[:, 0]
     return DeviationProfile(tuple(etas.tolist()))
 
@@ -141,14 +141,14 @@ def normalize_selectors(be: BlockEncoding) -> BlockEncoding:
     return BlockEncoding(be.u[np.ix_(idx ^ bra, idx ^ ket)], be.a, be.n, be.alpha)
 
 
-def dilate_hermitian(h: np.ndarray, tol: Tolerance = DEFAULT_TOL) -> BlockEncoding:
+def dilate_hermitian(h: np.ndarray) -> BlockEncoding:
     """Hermitian unitary dilation U = Z⊗H + X⊗√(I−H²), a (1,1,0)-encoding of H."""
     arr = as_cmatrix(h)
-    if not is_hermitian(arr, tol):
+    if not is_hermitian(arr):
         raise ValueError("dilate_hermitian needs a Hermitian matrix")
     if opnorm(arr) > 1.0 + 1e-10:
         raise ValueError("not subnormalized: ‖H‖ > 1")
-    comp = sqrt_one_minus_sq(arr, tol)
+    comp = sqrt_one_minus_sq(arr)
     u = kron(PAULI_Z, arr) + kron(PAULI_X, comp)
     n = int(np.log2(arr.shape[0]))
     return BlockEncoding(u, 1, n)

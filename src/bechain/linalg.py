@@ -119,7 +119,6 @@ def kron(*ops: npt.ArrayLike) -> CMatrix:
 def herm_funcmat(
     h: npt.ArrayLike,
     f: Callable[[npt.NDArray[np.float64]], npt.ArrayLike],
-    tol: Tolerance = DEFAULT_TOL,
 ) -> CMatrix:
     """Apply a real function to a Hermitian matrix spectrally: f(H) = V f(Λ) V†.
 
@@ -130,7 +129,7 @@ def herm_funcmat(
     arr = as_cmatrix(h)
     if arr.shape[0] != arr.shape[1]:
         raise ValueError("herm_funcmat needs a square matrix")
-    if not is_hermitian(arr, tol):
+    if not is_hermitian(arr):
         raise ValueError("matrix is not Hermitian within tolerance")
     # Numerical drift from products: symmetrize before the eigensolver.
     sym = (arr + arr.conj().T) / 2.0
@@ -147,7 +146,7 @@ def herm_funcmat(
     return (evecs * fvals) @ evecs.conj().T
 
 
-def sqrt_one_minus_sq(h: npt.ArrayLike, tol: Tolerance = DEFAULT_TOL) -> CMatrix:
+def sqrt_one_minus_sq(h: npt.ArrayLike) -> CMatrix:
     """√(I − H²) for Hermitian ‖H‖ ≤ 1, clamping roundoff-negative eigenvalues."""
 
     def f(lam: npt.NDArray[np.float64]) -> npt.NDArray[np.float64]:
@@ -156,7 +155,7 @@ def sqrt_one_minus_sq(h: npt.ArrayLike, tol: Tolerance = DEFAULT_TOL) -> CMatrix
             raise ValueError("not subnormalized: an eigenvalue exceeds 1 in magnitude")
         return np.sqrt(np.clip(one_minus, 0.0, None))
 
-    return herm_funcmat(h, f, tol)
+    return herm_funcmat(h, f)
 
 
 def bit_index(bits: str) -> int:

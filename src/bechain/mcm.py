@@ -396,22 +396,6 @@ def macg_run_bound(k: int, p: int, eta: float) -> float:
     return passed[0] + failed[0]
 
 
-def min_k_for_eps(eps: float, p: int, c: float) -> int:
-    """Smallest K with K ≥ (e·c²/2^p)·(2/ε)^{1/2^p}.
-
-    This inverts the claimed closed form :func:`macg_bound` and inherits its
-    scope: it guarantees accuracy ε only for encodings without adjacent
-    leakage.  For general encodings in the c/K regime the gadget error decays
-    no faster than 1/K (see :func:`macg_run_bound`).
-    """
-    if not 0.0 < eps:
-        raise ValueError("eps must be positive")
-    period = 2**p
-    v = math.e * c**2 / period * (2.0 / eps) ** (1.0 / period)
-    k = math.ceil(v - 1e-12)
-    return max(k, 1)
-
-
 def seqnorm_bound_check(
     encodings: Sequence[BlockEncoding], x: str
 ) -> tuple[float, float]:

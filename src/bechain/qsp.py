@@ -26,6 +26,7 @@ MAX_DEGREE = 512
 _QSP_SUP_LIMIT = 1.0 - 1e-6
 _LP_SUP_BOUND = 0.98
 _FIT_DOMAIN_MARGIN = 0.8
+_MAX_RESTARTS = 10
 
 
 @dataclass(frozen=True)
@@ -51,9 +52,9 @@ class ChebPoly:
     def __call__(self, x):
         return np_cheb.chebval(x, self.coeffs)
 
-    def sup_norm(self, lo: float = -1.0, hi: float = 1.0, npts: int = 4001) -> float:
-        grid = np.linspace(lo, hi, npts)
-        return float(np.max(np.abs(self(grid))))
+    def sup_norm(self) -> float:
+        """max |p(x)| over 4001 equispaced points of [−1, 1]."""
+        return float(np.max(np.abs(self(np.linspace(-1.0, 1.0, 4001)))))
 
     def rescaled(self, factor: float) -> "ChebPoly":
         return ChebPoly(self.coeffs * factor, self.parity, self.degree)
@@ -225,74 +226,55 @@ def _w_matrices(x: np.ndarray) -> np.ndarray:
     return w
 
 
-def _e_matrices(phi: float, count: int) -> np.ndarray:
-    e = np.zeros((count, 2, 2), dtype=complex)
-    e[:, 0, 0] = np.exp(1j * phi)
-    e[:, 1, 1] = np.exp(-1j * phi)
-    return e
+def _qsp_prefixes(phases: np.ndarray, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Every prefix P_j = e^{iφ₀Z}·W⋯W·e^{iφ_jZ}, shape (d+1, M, 2, 2), and W(x).
 
-
-def _qsp_batch(phases: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """U_Φ(x) for a batch of x values, shape (M, 2, 2)."""
+    P_d is U_Φ(x).  Each e^{iφZ} acts as a column scaling by (e^{iφ}, e^{−iφ}).
+    """
     w = _w_matrices(x)
-    u = _e_matrices(phases[0], x.size)
-    for phi in phases[1:]:
-        u = u @ w
-        u = u @ _e_matrices(phi, x.size)
-    return u
+    cols = np.exp(1j * np.multiply.outer(phases, [1.0, -1.0]))
+    prefix = np.empty((phases.size, x.size, 2, 2), dtype=complex)
+    prefix[0] = np.diag(cols[0])
+    for j in range(1, phases.size):
+        np.matmul(prefix[j - 1], w, out=prefix[j])
+        prefix[j] *= cols[j]
+    return prefix, w
 
 
 def qsp_eval(phi: PhaseFactors, x: float) -> CMatrix:
     """The 2×2 unitary U_Φ(x) = e^{iφ₀Z} Π_j W(x) e^{iφ_j Z}."""
     if not -1.0 <= x <= 1.0:
         raise ValueError("x must lie in [-1, 1]")
-    return _qsp_batch(phi.phases, np.asarray([float(x)]))[0]
+    return _qsp_prefixes(phi.phases, np.asarray([float(x)]))[0][-1, 0]
 
 
 def qsp_poly_value(phi: PhaseFactors, x) -> np.ndarray:
     """The realized polynomial Re⟨0|U_Φ(x)|0⟩, vectorized over x."""
     xs = np.atleast_1d(np.asarray(x, dtype=float))
-    return np.real(_qsp_batch(phi.phases, xs)[:, 0, 0])
-
-
-def _sym_expand(free: np.ndarray, degree: int) -> np.ndarray:
-    # symmetric convention: phi_j = phi_{d-j}
-    full = np.zeros(degree + 1)
-    for j in range(degree + 1):
-        full[j] = free[min(j, degree - j)]
-    return full
+    return np.real(_qsp_prefixes(phi.phases, xs)[0][-1, :, 0, 0])
 
 
 def _residual_and_jac(
-    free: np.ndarray, degree: int, xs: np.ndarray, target: np.ndarray
+    free: np.ndarray, fold: np.ndarray, xs: np.ndarray, target: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
-    phases = _sym_expand(free, degree)
-    m = xs.size
-    w = _w_matrices(xs)
-    # prefix[j] = E(φ0) W E(φ1) ... W E(φj); suffix[j] = W E(φ_{j+1}) ... W E(φd)
-    prefix = np.zeros((degree + 1, m, 2, 2), dtype=complex)
-    prefix[0] = _e_matrices(phases[0], m)
-    for j in range(1, degree + 1):
-        prefix[j] = prefix[j - 1] @ w @ _e_matrices(phases[j], m)
-    suffix = np.zeros((degree + 1, m, 2, 2), dtype=complex)
-    suffix[degree] = np.broadcast_to(np.eye(2, dtype=complex), (m, 2, 2)).copy()
-    for j in range(degree - 1, -1, -1):
-        suffix[j] = w @ _e_matrices(phases[j + 1], m) @ suffix[j + 1]
-    top = prefix[degree][:, 0, 0]
-    res = np.real(top) - target
-    # d⟨0|U|0⟩/dφ_j = (prefix[j] · iZ · suffix[j])[0,0]
-    jac_full = np.empty((m, degree + 1))
-    for j in range(degree + 1):
-        val = 1j * (
-            prefix[j][:, 0, 0] * suffix[j][:, 0, 0]
-            - prefix[j][:, 0, 1] * suffix[j][:, 1, 0]
-        )
-        jac_full[:, j] = np.real(val)
-    half = (degree + 2) // 2
-    jac = np.zeros((m, half))
-    for j in range(degree + 1):
-        jac[:, min(j, degree - j)] += jac_full[:, j]
-    return res, jac
+    """Residual Re⟨0|U_Φ(x)|0⟩ − target at xs, and its Jacobian in the free phases.
+
+    ``fold[j]`` = min(j, d − j) indexes the free phases, so Φ = free[fold] is a
+    palindrome.  As W is symmetric and each e^{iφZ} diagonal, the suffix
+    S_j = W·e^{iφ_{j+1}Z}⋯W·e^{iφ_dZ} is then (P_{d−j−1}·W)ᵀ, with S_d = I, so
+    one prefix scan gives every d⟨0|U|0⟩/dφ_j = (P_j·iZ·S_j)[0,0]; the fold
+    sums the columns of φ_j and φ_{d−j}.
+    """
+    prefix, w = _qsp_prefixes(free[fold], xs)
+    row0 = prefix[:, :, 0, :]  # (d+1, M, 2)
+    # S_j[:, 0] = row 0 of P_{d−j−1}·W, for j = 0 … d−1; S_d[:, 0] = (1, 0)
+    s_col = np.zeros_like(row0)
+    s_col[:-1] = np.matmul(row0[-2::-1, :, None, :], w)[:, :, 0, :]
+    s_col[-1, :, 0] = 1.0
+    jac_full = np.real(1j * (row0[..., 0] * s_col[..., 0] - row0[..., 1] * s_col[..., 1]))
+    jac = np.zeros((free.size, xs.size))
+    np.add.at(jac, fold, jac_full)
+    return np.real(row0[-1, :, 0]) - target, jac.T
 
 
 def _is_pure_chebyshev(p: ChebPoly) -> Optional[float]:
@@ -305,7 +287,7 @@ def _is_pure_chebyshev(p: ChebPoly) -> Optional[float]:
     return float(np.sign(c[-1]))
 
 
-def solve_phases(p: ChebPoly, max_restarts: int = 10) -> PhaseFactors:
+def solve_phases(p: ChebPoly) -> PhaseFactors:
     """Symmetric phases with Re⟨0|U_Φ(x)|0⟩ = p(x) to ≤ 1e−8 on a dense grid.
 
     Quasi-Newton least squares (Levenberg–Marquardt with an analytic Jacobian)
@@ -330,6 +312,8 @@ def solve_phases(p: ChebPoly, max_restarts: int = 10) -> PhaseFactors:
         return PhaseFactors(phi.phases, phi.parity, residual=_dense_residual(phi, p))
 
     nfree = (degree + 2) // 2
+    j = np.arange(degree + 1)
+    fold = np.minimum(j, degree - j)
     m = max(degree + 1, nfree + 8)
     xs = np.cos(np.pi * (2 * np.arange(m) + 1) / (4 * m))  # nodes in (0, 1)
     target = np.asarray(p(xs), dtype=float)
@@ -338,19 +322,19 @@ def solve_phases(p: ChebPoly, max_restarts: int = 10) -> PhaseFactors:
     seed_free[0] = np.pi / 4
     rng = np.random.default_rng(271828)
     best: tuple[float, np.ndarray] | None = None
-    for restart in range(max_restarts):
+    for restart in range(_MAX_RESTARTS):
         x0 = seed_free if restart == 0 else seed_free + 0.3 * rng.standard_normal(nfree)
         sol = least_squares(
-            lambda v: _residual_and_jac(v, degree, xs, target)[0],
+            lambda v: _residual_and_jac(v, fold, xs, target)[0],
             x0,
-            jac=lambda v: _residual_and_jac(v, degree, xs, target)[1],
+            jac=lambda v: _residual_and_jac(v, fold, xs, target)[1],
             method="lm",
             xtol=2.3e-16,
             ftol=2.3e-16,
             gtol=2.3e-16,
             max_nfev=400 * nfree,
         )
-        phases = _sym_expand(sol.x, degree)
+        phases = sol.x[fold]
         phi = PhaseFactors(phases, p.parity)
         res = _dense_residual(phi, p)
         if best is None or res < best[0]:
@@ -361,7 +345,7 @@ def solve_phases(p: ChebPoly, max_restarts: int = 10) -> PhaseFactors:
     if best[0] <= 1e-8:
         return PhaseFactors(best[1], p.parity, residual=best[0])
     raise RuntimeError(
-        f"phase solver did not converge after {max_restarts} restarts; "
+        f"phase solver did not converge after {_MAX_RESTARTS} restarts; "
         f"best residual {best[0]:.3e}"
     )
 

@@ -28,7 +28,6 @@ from bechain.mcm import (
     macg_run_bound,
     mcm_from_raw,
     mcm_unitary,
-    min_k_for_eps,
     raw_unitary,
     seqnorm_bound_check,
     sum_bad_sequences,
@@ -301,13 +300,6 @@ def test_macg_bound_rejects_nan_c():
     # NaN fails both the c <= 0 test and the regime test, so it needs its own
     with pytest.raises(ValueError, match="c > 0"):
         macg_bound(8, 1, math.nan)
-
-
-def test_min_k_for_eps():
-    assert min_k_for_eps(2.0, 1, 0.5) == 1  # degenerate boundary: K >= e·c²/2^p
-    expected = math.ceil(math.e * 0.25 / 2.0 * math.sqrt(2e4))
-    assert min_k_for_eps(1e-4, 1, 0.5) == expected
-    assert min_k_for_eps(1e-6, 1, 0.5) > min_k_for_eps(1e-4, 1, 0.5)
 
 
 # --- the per-sequence norm claim: where it holds and where it fails ----------

@@ -14,6 +14,7 @@ from bechain.qsp import (
     PhaseFactors,
     _qsvt_product,
     _reflection_phases,
+    _residual_and_jac,
     approx_half_sqrt,
     chebyshev_phases,
     qsp_eval,
@@ -101,6 +102,86 @@ def test_qsp_eval_at_x_one():
 def test_qsp_eval_domain():
     with pytest.raises(ValueError):
         qsp_eval(chebyshev_phases(2), 1.5)
+
+
+def _loop_prefix_suffix(phases, xs):
+    """Reference: U_Φ(x) and every d⟨0|U|0⟩/dφ_j from the explicit prefix and
+    suffix loops, prefix[j] = E(φ0) W E(φ1) ⋯ W E(φj), suffix[j] = W E(φ_{j+1}) ⋯ W E(φd)."""
+    d, m = phases.size - 1, xs.size
+    s = np.sqrt(np.clip(1.0 - xs**2, 0.0, None))
+    w = np.zeros((m, 2, 2), dtype=complex)
+    w[:, 0, 0] = w[:, 1, 1] = xs
+    w[:, 0, 1] = w[:, 1, 0] = 1j * s
+
+    def e(phi):
+        out = np.zeros((m, 2, 2), dtype=complex)
+        out[:, 0, 0] = np.exp(1j * phi)
+        out[:, 1, 1] = np.exp(-1j * phi)
+        return out
+
+    prefix = [e(phases[0])]
+    for j in range(1, d + 1):
+        prefix.append(prefix[-1] @ w @ e(phases[j]))
+    suffix = [np.broadcast_to(np.eye(2, dtype=complex), (m, 2, 2))]
+    for j in range(d - 1, -1, -1):
+        suffix.insert(0, w @ e(phases[j + 1]) @ suffix[0])
+    z = np.diag([1.0, -1.0])
+    grad = np.stack([(1j * prefix[j] @ z @ suffix[j])[:, 0, 0] for j in range(d + 1)], axis=1)
+    return prefix[d], grad
+
+
+def _solver_nodes(degree):
+    """The solver's fit nodes: Chebyshev nodes in (0, 1), as in solve_phases."""
+    nfree = (degree + 2) // 2
+    m = max(degree + 1, nfree + 8)
+    return np.cos(np.pi * (2 * np.arange(m) + 1) / (4 * m))
+
+
+def _fold(degree):
+    j = np.arange(degree + 1)
+    return np.minimum(j, degree - j)
+
+
+scan_cases = given(degree=st.integers(0, 40), seed=st.integers(0, 2**32 - 1))
+
+
+@settings(deadline=None, max_examples=60)
+@scan_cases
+def test_prefix_scan_matches_prefix_suffix_loops(degree, seed):
+    rng = np.random.default_rng(seed)
+    free = rng.uniform(-np.pi, np.pi, (degree + 2) // 2)
+    fold = _fold(degree)
+    xs = _solver_nodes(degree)
+    target = rng.uniform(-1.0, 1.0, xs.size)
+    u_ref, grad_ref = _loop_prefix_suffix(free[fold], xs)
+    res, jac = _residual_and_jac(free, fold, xs, target)
+    np.testing.assert_allclose(res, u_ref[:, 0, 0].real - target, rtol=0, atol=1e-13)
+    folded = np.zeros_like(jac)
+    for j in range(degree + 1):
+        folded[:, fold[j]] += grad_ref[:, j].real
+    np.testing.assert_allclose(jac, folded, rtol=0, atol=1e-13)
+    phi = PhaseFactors(free[fold], "even" if degree % 2 == 0 else "odd")
+    np.testing.assert_allclose(qsp_poly_value(phi, xs), u_ref[:, 0, 0].real, rtol=0, atol=1e-13)
+    u = np.stack([qsp_eval(phi, x) for x in xs])
+    np.testing.assert_allclose(u, u_ref, rtol=0, atol=1e-13)
+
+
+@settings(deadline=None, max_examples=30)
+@scan_cases
+def test_residual_jacobian_matches_central_differences(degree, seed):
+    rng = np.random.default_rng(seed)
+    free = rng.uniform(-np.pi, np.pi, (degree + 2) // 2)
+    fold = _fold(degree)
+    xs = _solver_nodes(degree)
+    target = rng.uniform(-1.0, 1.0, xs.size)
+    jac = _residual_and_jac(free, fold, xs, target)[1]
+    h = 1e-6
+    for i in range(free.size):
+        step = np.zeros_like(free)
+        step[i] = h
+        hi = _residual_and_jac(free + step, fold, xs, target)[0]
+        lo = _residual_and_jac(free - step, fold, xs, target)[0]
+        np.testing.assert_allclose(jac[:, i], (hi - lo) / (2 * h), rtol=0, atol=1e-7)
 
 
 # --- phase solving -----------------------------------------------------------
