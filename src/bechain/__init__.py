@@ -47,6 +47,7 @@ from .mcm import (
     add_unitary,
     bad_sequence_oracle,
     block_product,
+    corner_columns,
     embe_block,
     gadget_error_exact,
     gadget_lw19,
@@ -61,14 +62,7 @@ from .mcm import (
     seqnorm_bound_check,
     sum_bad_sequences,
 )
-from .oaa import (
-    AAProblem,
-    BoostReport,
-    grover_boost,
-    oaa_boost_report,
-    reflect_initial,
-    reflect_signal,
-)
+from .oaa import BoostReport, grover_boost, oaa_boost_report
 from .appgen import (
     DysonSpec,
     TrotterSpec,

@@ -17,7 +17,7 @@ from typing import Optional, Sequence
 import numpy as np
 import numpy.typing as npt
 
-from .encoding import BlockEncoding, normalize_selectors, pad_ancillas
+from .encoding import BlockEncoding, normalize_selectors
 from .linalg import (
     CMatrix,
     DEFAULT_TOL,
@@ -145,12 +145,10 @@ def lcu_w_uh(vh: BlockEncoding, vsqrt: BlockEncoding) -> BlockEncoding:
     enc_h = normalize_selectors(vh)
     enc_s = normalize_selectors(vsqrt)
     a2 = max(enc_h.a, enc_s.a)
-    enc_h = pad_ancillas(enc_h, a2)
-    enc_s = pad_ancillas(enc_s, a2)
+    u_h = np.kron(np.eye(2 ** (a2 - enc_h.a)), enc_h.u)
+    u_s = np.kron(np.eye(2 ** (a2 - enc_s.a)), enc_s.u)
     # X on the dilation qubit for the root branch, Z for the input branch
-    return _w_lcu(
-        [[None, enc_s.u], [enc_s.u, None]], [[enc_h.u, None], [None, -enc_h.u]], a2, vh.n
-    )
+    return _w_lcu([[None, u_s], [u_s, None]], [[u_h, None], [None, -u_h]], a2, vh.n)
 
 
 _Grid = Sequence[Sequence[Optional[npt.ArrayLike]]]

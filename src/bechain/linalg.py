@@ -18,7 +18,6 @@ import numpy.typing as npt
 CMatrix = npt.NDArray[np.complex128]
 
 # Pauli matrices and friends, used as building blocks throughout.
-ID2 = np.eye(2, dtype=complex)
 PAULI_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 PAULI_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)
 PAULI_Z = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
@@ -181,18 +180,6 @@ def mat_embed_block(
     i = bit_index(bra) * sub
     j = bit_index(ket) * sub
     return arr[i : i + sub, j : j + sub].copy()
-
-
-def proj_zero(a: int) -> CMatrix:
-    """|0^a⟩⟨0^a| on a qubits."""
-    p = np.zeros((2**a, 2**a), dtype=complex)
-    p[0, 0] = 1.0
-    return p
-
-
-def proj_perp(a: int) -> CMatrix:
-    """I − |0^a⟩⟨0^a| on a qubits."""
-    return np.eye(2**a, dtype=complex) - proj_zero(a)
 
 
 def permute_qubits(u: npt.ArrayLike, order: Sequence[int]) -> CMatrix:

@@ -8,8 +8,9 @@ ancilla register being outside 0^a, followed by a final m-qubit unitary Q:
 
 Register layout is [measurement m][encoding ancillae a][system n], most
 significant first.  One column kernel carries input columns through the
-layers: ``embe_block`` carries the 2^n system columns of the corner
-⟨0^{m+a}|·|0^{m+a}⟩, ``mcm_unitary`` all of them.  The p-MACG leakage is
+layers: ``corner_columns`` carries the 2^n columns U_MCM·(|0^{m+a}⟩⊗I),
+whose first 2^n rows are the corner ⟨0^{m+a}|·|0^{m+a}⟩ of ``embe_block``,
+and ``mcm_unitary`` carries all of them.  The p-MACG leakage is
 summed by enumeration or by an O(K·2^p) recursion over failure-count classes.
 """
 
@@ -22,20 +23,9 @@ from typing import Literal, Sequence
 
 import numpy as np
 
-from .encoding import BlockEncoding, deviation_profile, normalize_selectors
-from .linalg import (
-    CMatrix,
-    DEFAULT_TOL,
-    as_cmatrix,
-    dagger,
-    is_unitary,
-    kron,
-    opnorm,
-    proj_perp,
-    proj_zero,
-)
+from .encoding import MAX_QUBITS, BlockEncoding, deviation_profile, normalize_selectors
+from .linalg import CMatrix, DEFAULT_TOL, as_cmatrix, dagger, is_unitary, kron, opnorm
 
-MAX_TOTAL_QUBITS = 12
 ENUMERATION_CAP = 17
 
 
@@ -71,7 +61,7 @@ class MCMCircuit:
             raise ValueError("m must be non-negative")
         if self.m == 0 and k > 1:
             raise ValueError("m = 0 is legal only for K = 1")
-        if self.m + a + n > MAX_TOTAL_QUBITS:
+        if self.m + a + n > MAX_QUBITS:
             raise ValueError("total register exceeds the dimension cap")
         if len(self.v_list) != k - 1:
             raise ValueError(f"expected {k - 1} interleaved unitaries, got {len(self.v_list)}")
@@ -143,10 +133,9 @@ def mcm_unitary(circ: MCMCircuit) -> CMatrix:
 def raw_unitary(raw: MCMRaw) -> CMatrix:
     """Direct evaluation of the overparameterized (W⃗, G⃗, B⃗) circuit."""
     n, a = _common_registers(raw.encodings)
-    dm, dn = 2**raw.m, 2**n
-    eye_m = np.eye(dm)
-    p0 = kron(proj_zero(a), np.eye(dn))
-    pp = kron(proj_perp(a), np.eye(dn))
+    eye_m = np.eye(2**raw.m)
+    anc0 = np.arange(2 ** (a + n)) < 2**n  # the rows with the ancillae at 0^a
+    p0, pp = np.diag(anc0), np.diag(~anc0)
     out = kron(raw.w_list[0], raw.encodings[0].u)
     for j in range(1, len(raw.encodings)):
         cb = kron(eye_m, p0) + kron(raw.b_list[j - 1], pp)
@@ -176,12 +165,17 @@ def mcm_from_raw(raw: MCMRaw) -> MCMCircuit:
     return MCMCircuit(raw.encodings, raw.m, tuple(v_final), q)
 
 
-def embe_block(circ: MCMCircuit) -> CMatrix:
-    """The 2^n block ⟨0^{m+a}| U_MCM |0^{m+a}⟩, carrying only the 2^n system columns."""
+def corner_columns(circ: MCMCircuit) -> CMatrix:
+    """U_MCM·(|0^{m+a}⟩⊗I_{2^n}): the 2^n corner columns with every row."""
     dn = 2**circ.n
     cols = np.zeros((2 ** (circ.a + circ.n), 2**circ.m, dn), dtype=complex)
     cols[:dn, 0, :] = np.eye(dn)
-    return _mcm_columns(circ, cols)[:dn, 0, :].copy()
+    return _mcm_columns(circ, cols).transpose(1, 0, 2).reshape(-1, dn)
+
+
+def embe_block(circ: MCMCircuit) -> CMatrix:
+    """The 2^n block ⟨0^{m+a}| U_MCM |0^{m+a}⟩: the first 2^n rows of the corner columns."""
+    return corner_columns(circ)[: 2**circ.n]
 
 
 def add_unitary(p: int) -> CMatrix:
@@ -210,13 +204,10 @@ def gadget_naive(encodings: Sequence[BlockEncoding]) -> MCMCircuit:
 
 
 def gadget_lw19(encodings: Sequence[BlockEncoding]) -> MCMCircuit:
-    """The exact compression gadget: mod-2^m increments with m = ⌈log₂K⌉."""
-    k = len(encodings)
-    if k < 2:
+    """The exact compression gadget: the p-MACG at p = m = ⌈log₂K⌉."""
+    if len(encodings) < 2:
         raise ValueError("need at least two encodings")
-    m = math.ceil(math.log2(k))
-    add = add_unitary(m)
-    return MCMCircuit(tuple(encodings), m, tuple([add] * (k - 1)), np.eye(2**m, dtype=complex))
+    return gadget_pmacg(encodings, math.ceil(math.log2(len(encodings))))
 
 
 def gadget_pmacg(encodings: Sequence[BlockEncoding], p: int) -> MCMCircuit:
@@ -247,19 +238,19 @@ def bad_sequence_oracle(encodings: Sequence[BlockEncoding], x: str) -> CMatrix:
 
     The string reads in operator order: its leftmost character is the
     measurement between U_{K−1} and U_K, the rightmost the one after U_1.
+    Each projector is a row mask on all 2^{a+n} carried columns.
     """
     encs = [normalize_selectors(be) for be in encodings]
-    n, a = _common_registers(encs)
+    n, _ = _common_registers(encs)
     k = len(encs)
     if len(x) != k - 1 or any(c not in "01" for c in x):
         raise ValueError("x must be a bitstring of length K-1")
     dn = 2**n
-    p0 = kron(proj_zero(a), np.eye(dn))
-    pp = kron(proj_perp(a), np.eye(dn))
-    chain = encs[0].u
+    chain = encs[0].u.copy()
     for i in range(1, k):
-        proj = pp if x[k - 1 - i] == "1" else p0
-        chain = encs[i].u @ proj @ chain
+        # Π_⊥ zeroes the ancilla-0 rows, Π₀ the others
+        chain[slice(None, dn) if x[k - 1 - i] == "1" else slice(dn, None)] = 0.0
+        chain = encs[i].u @ chain
     return chain[:dn, :dn].copy()
 
 
@@ -291,7 +282,7 @@ def _leakage_recursion(encodings: Sequence[BlockEncoding], p: int) -> CMatrix:
 def sum_bad_sequences(
     encodings: Sequence[BlockEncoding],
     p: int,
-    method: Literal["auto", "enumerate", "recursion"] = "auto",
+    method: Literal["enumerate", "recursion"],
 ) -> CMatrix:
     """Σ_{x ≠ 0, |x| ≡ 0 mod 2^p} S_x — the p-MACG's exact leakage matrix.
 
@@ -303,8 +294,6 @@ def sum_bad_sequences(
     if p < 0:
         raise ValueError("p must be non-negative")
     k = len(encodings)
-    if method == "auto":
-        method = "enumerate" if k <= 10 else "recursion"
     if method == "recursion":
         return _leakage_recursion(encodings, p)
     if method != "enumerate":

@@ -1,9 +1,11 @@
 """Amplitude amplification and oblivious amplitude amplification.
 
 The signal register (measurement + encoding ancillae of an MCM circuit) marks
-the good subspace: reflections about |0^sig⟩ and about the prepared state
-build the Grover iterate, and the post-selected system state after boosting
-is compared against the exact multiplication target.
+the good subspace: the good component of the prepared state
+ψ₀ = U_MCM·(|0^{m+a}⟩⊗ψ) is its first 2^n entries.  ψ₀ comes from the
+circuit's corner columns, and the Grover iterate acts on that one vector, so
+no full-register operator is formed.  The post-selected system state after
+boosting is compared against the exact multiplication target.
 """
 
 from __future__ import annotations
@@ -13,27 +15,10 @@ from typing import Optional
 
 import numpy as np
 
-from .linalg import CMatrix, DEFAULT_TOL, as_cmatrix, householder_column, is_unitary, kron
-from .mcm import MCMCircuit, gadget_error_exact, mcm_unitary
+from .linalg import as_cmatrix
+from .mcm import MCMCircuit, corner_columns, gadget_error_exact
 
-MAX_AUTO_ITERATIONS = 1000  # each iteration is a dense product; admits α > sin(π/4004)
-
-
-@dataclass(frozen=True)
-class AAProblem:
-    """State-preparation unitary, signal-qubit count, iteration count (None = auto)."""
-
-    u0: CMatrix
-    sig: int
-    k: Optional[int] = None
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "u0", as_cmatrix(self.u0))
-        if not is_unitary(self.u0, DEFAULT_TOL):
-            raise ValueError("state-preparation operator is not unitary")
-        total = int(np.log2(self.u0.shape[0]))
-        if not 1 <= self.sig <= total:
-            raise ValueError("signal-qubit count out of range")
+MAX_AUTO_ITERATIONS = 1000  # bounds an automatic count's work; admits α > sin(π/4004)
 
 
 @dataclass(frozen=True)
@@ -54,23 +39,6 @@ class BoostReport:
         }
 
 
-def reflect_signal(sig: int, total: int) -> CMatrix:
-    """(I − 2|0^sig⟩⟨0^sig|) ⊗ I on the remaining qubits."""
-    if not 1 <= sig <= total:
-        raise ValueError("signal-qubit count out of range")
-    diag = np.ones(2**total)
-    diag[: 2 ** (total - sig)] = -1.0
-    return np.diag(diag).astype(complex)
-
-
-def reflect_initial(u0: np.ndarray) -> CMatrix:
-    """2|ψ₀⟩⟨ψ₀| − I with |ψ₀⟩ = U₀|0…0⟩, the rank-1 form of U₀(2Π₀ − I)U₀†."""
-    u = as_cmatrix(u0)
-    if not is_unitary(u, DEFAULT_TOL):
-        raise ValueError("U0 is not unitary")
-    return 2.0 * np.outer(u[:, 0], u[:, 0].conj()) - np.eye(u.shape[0])
-
-
 def auto_iterations(alpha: float) -> int:
     """k = round(π/(4·arcsin α) − ½) ≥ 0; a ValueError above ``MAX_AUTO_ITERATIONS``."""
     theta = np.arcsin(min(max(alpha, 0.0), 1.0))
@@ -80,28 +48,32 @@ def auto_iterations(alpha: float) -> int:
     return max(0, round(k))
 
 
-def grover_boost(prob: AAProblem) -> tuple[np.ndarray, float]:
-    """Run G^k on U₀|0…0⟩ and return the state plus post-boost signal probability."""
-    total = int(np.log2(prob.u0.shape[0]))
-    psi0 = prob.u0[:, 0].copy()
-    sub = 2 ** (total - prob.sig)
+def grover_boost(
+    psi0: np.ndarray, sig: int, k: Optional[int] = None
+) -> tuple[np.ndarray, float]:
+    """Run G^k on the unit state ψ₀ and return the state plus post-boost signal probability.
+
+    G = (2|ψ₀⟩⟨ψ₀| − I)(I − 2Π_sig), with Π_sig the projector onto |0^sig⟩ on
+    the ``sig`` most significant qubits; each iteration is two O(dim) vector
+    steps.  k = None picks :func:`auto_iterations`.
+    """
+    psi0 = np.array(psi0, dtype=complex).reshape(-1)
+    norm = np.linalg.norm(psi0)
+    if not abs(norm - 1.0) <= 1e-10:  # NaN fails the comparison
+        raise ValueError(f"prepared state must be a unit vector, got norm {norm!r}")
+    total = psi0.size.bit_length() - 1
+    if psi0.size != 2**total or not 1 <= sig <= total:
+        raise ValueError(f"signal-qubit count {sig} out of range for dimension {psi0.size}")
+    sub = 2 ** (total - sig)
     alpha = float(np.linalg.norm(psi0[:sub]))
     if alpha < 1e-12:
         raise ValueError("no good component: signal amplitude below 1e-12")
-    k = prob.k if prob.k is not None else auto_iterations(alpha)
-    g = reflect_initial(prob.u0) @ reflect_signal(prob.sig, total)
+    sign = np.where(np.arange(psi0.size) < sub, -1.0, 1.0)  # I − 2Π_sig
     state = psi0
-    for _ in range(k):
-        state = g @ state
+    for _ in range(k if k is not None else auto_iterations(alpha)):
+        state = sign * state
+        state = 2.0 * np.vdot(psi0, state) * psi0 - state
     return state, float(np.linalg.norm(state[:sub]) ** 2)
-
-
-def _prepare_unitary(psi: np.ndarray) -> CMatrix:
-    vec = np.asarray(psi, dtype=complex).reshape(-1)
-    norm = np.linalg.norm(vec)
-    if norm < 1e-12:
-        raise ValueError("input state must be nonzero")
-    return householder_column(vec / norm)
 
 
 def oaa_boost_report(
@@ -130,11 +102,10 @@ def oaa_boost_report(
         raise ValueError("vanishing good amplitude: ‖A_[K]|ψ⟩‖ ≈ 0")
     good = good / np.linalg.norm(good)
 
-    sig = circ.m + circ.a
-    u0 = mcm_unitary(circ) @ kron(np.eye(2**sig), _prepare_unitary(psi))
-    alpha_before = float(np.linalg.norm(u0[: 2**circ.n, 0]))
+    psi0 = corner_columns(circ) @ psi
+    alpha_before = float(np.linalg.norm(psi0[: 2**circ.n]))
     k_used = k if k is not None else auto_iterations(alpha_before)
-    state, prob_after = grover_boost(AAProblem(u0, sig, k_used))
+    state, prob_after = grover_boost(psi0, circ.m + circ.a, k_used)
     post = state[: 2**circ.n]
     post = post / np.linalg.norm(post)
     fidelity = float(np.abs(np.vdot(good, post)) ** 2)

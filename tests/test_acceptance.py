@@ -255,9 +255,8 @@ def test_criterion_10_oaa(report):
     law_worst = 0.0
     for theta in (0.2, np.pi / 6, 0.8):
         for k in (0, 1, 2):
-            beta = math.sqrt(1 - math.sin(theta) ** 2)
-            u0 = np.array([[math.sin(theta), -beta], [beta, math.sin(theta)]], dtype=complex)
-            _, prob = bc.grover_boost(bc.AAProblem(u0, 1, k))
+            psi0 = np.array([math.sin(theta), math.sqrt(1 - math.sin(theta) ** 2)])
+            _, prob = bc.grover_boost(psi0, 1, k)
             law_worst = max(law_worst, abs(prob - math.sin((2 * k + 1) * theta) ** 2))
     ok = law_worst <= 1e-10
     fid_min, prob_min = 1.0, 1.0

@@ -18,6 +18,7 @@ from bechain.mcm import (
     add_unitary,
     bad_sequence_oracle,
     block_product,
+    corner_columns,
     embe_block,
     gadget_error_exact,
     gadget_lw19,
@@ -527,6 +528,7 @@ def test_mcm_unitary_matches_kron_reference(k, m, seed):
     )
     expected = kron_reference_unitary(circ)
     assert opnorm(mcm_unitary(circ) - expected) <= 1e-12
+    assert opnorm(corner_columns(circ) - expected[:, : 2**circ.n]) <= 1e-12
     assert opnorm(embe_block(circ) - expected[:2, :2]) <= 1e-13
 
 

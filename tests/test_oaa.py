@@ -3,82 +3,83 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bechain.encoding import BlockEncoding, random_block_encoding, random_near_identity
-from bechain.linalg import haar_unitary
 from bechain.mcm import block_product, gadget_error_exact, gadget_lw19, gadget_pmacg
-from bechain.oaa import (
-    MAX_AUTO_ITERATIONS,
-    AAProblem,
-    auto_iterations,
-    grover_boost,
-    oaa_boost_report,
-    reflect_initial,
-    reflect_signal,
-)
+from bechain.oaa import MAX_AUTO_ITERATIONS, auto_iterations, grover_boost, oaa_boost_report
 
 
-def test_reflect_signal_examples():
-    np.testing.assert_allclose(reflect_signal(1, 1), np.diag([-1.0, 1.0]), atol=1e-14)
-    r = reflect_signal(2, 3)
-    np.testing.assert_allclose(np.diag(r), [-1, -1] + [1] * 6, atol=1e-14)
-    np.testing.assert_allclose(r @ r, np.eye(8), atol=1e-14)
+def _dense_grover(psi0: np.ndarray, sig: int, k: int) -> tuple[np.ndarray, float]:
+    """Reference: G^k ψ₀ with both reflections and G materialized as dense matrices."""
+    dim = psi0.size
+    sub = dim >> sig
+    diag = np.ones(dim)
+    diag[:sub] = -1.0
+    reflect_signal = np.diag(diag)  # I − 2Π_sig
+    reflect_initial = 2.0 * np.outer(psi0, psi0.conj()) - np.eye(dim)
+    g = reflect_initial @ reflect_signal
+    state = psi0
+    for _ in range(k):
+        state = g @ state
+    return state, float(np.linalg.norm(state[:sub]) ** 2)
 
 
-def test_reflect_initial_examples():
-    np.testing.assert_allclose(
-        reflect_initial(np.eye(4)), np.diag([1.0, -1.0, -1.0, -1.0]), atol=1e-14
-    )
-    u0 = haar_unitary(8, np.random.default_rng(0))
-    r = reflect_initial(u0)
-    np.testing.assert_allclose(r @ r, np.eye(8), atol=1e-12)
-    psi0 = u0[:, 0]
-    np.testing.assert_allclose(r @ psi0, psi0, atol=1e-12)
+@settings(deadline=None, max_examples=25)
+@given(q=st.integers(1, 6), seed=st.integers(0, 10**6))
+def test_grover_boost_matches_dense_reflections(q, seed):
+    rng = np.random.default_rng(seed)
+    psi0 = rng.standard_normal(2**q) + 1j * rng.standard_normal(2**q)
+    psi0 /= np.linalg.norm(psi0)
+    for sig in range(1, q + 1):
+        for k in range(7):
+            state, prob = grover_boost(psi0, sig, k)
+            ref_state, ref_prob = _dense_grover(psi0, sig, k)
+            np.testing.assert_allclose(state, ref_state, rtol=0, atol=1e-12)
+            assert prob == pytest.approx(ref_prob, rel=0, abs=1e-12)
 
 
-def _rotation_problem(alpha: float, k) -> AAProblem:
-    # a 1-qubit preparation with signal amplitude alpha on |0>
-    beta = np.sqrt(1 - alpha**2)
-    u0 = np.array([[alpha, -beta], [beta, alpha]], dtype=complex)
-    return AAProblem(u0, 1, k)
+def _rotation_state(alpha: float) -> np.ndarray:
+    # a 1-qubit prepared state with signal amplitude alpha on |0>
+    return np.array([alpha, np.sqrt(1 - alpha**2)], dtype=complex)
 
 
 def test_grover_three_angle_identity():
     # alpha = sin(pi/6), k = 1: amplified probability sin(3·pi/6)² = 1 exactly
-    state, prob = grover_boost(_rotation_problem(np.sin(np.pi / 6), 1))
+    state, prob = grover_boost(_rotation_state(np.sin(np.pi / 6)), 1, 1)
     assert prob == pytest.approx(1.0, abs=1e-12)
 
 
 def test_grover_sin_law_grid():
     for theta in (0.15, 0.3, 0.5):
         for k in (0, 1, 2, 3):
-            _, prob = grover_boost(_rotation_problem(np.sin(theta), k))
+            _, prob = grover_boost(_rotation_state(np.sin(theta)), 1, k)
             assert prob == pytest.approx(np.sin((2 * k + 1) * theta) ** 2, abs=1e-10)
 
 
 def test_grover_already_good():
-    state, prob = grover_boost(_rotation_problem(1.0, 0))
+    state, prob = grover_boost(_rotation_state(1.0), 1, 0)
     assert prob == pytest.approx(1.0, abs=1e-12)
 
 
 def test_grover_no_good_component():
-    u0 = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
     with pytest.raises(ValueError, match="no good component"):
-        grover_boost(AAProblem(u0, 1, 1))
+        grover_boost(np.array([0.0, 1.0]), 1, 1)
 
 
 def test_grover_refuses_unbounded_auto_count():
-    # alpha = 1e-6 would ask for 785398 dense products
+    # alpha = 1e-6 would ask for 785398 iterations
     t0 = time.monotonic()
     with pytest.raises(ValueError, match="alpha = 1e-06"):
-        grover_boost(_rotation_problem(1e-6, None))
+        grover_boost(_rotation_state(1e-6), 1)
     assert time.monotonic() - t0 < 1.0
     with pytest.raises(ValueError, match="k = inf"):
         auto_iterations(0.0)
     theta = np.pi / (4.0 * (MAX_AUTO_ITERATIONS + 0.25))  # k = cap − 0.25 rounds to the cap
     assert auto_iterations(np.sin(theta)) == MAX_AUTO_ITERATIONS
     # an explicit count is the caller's choice
-    _, prob = grover_boost(_rotation_problem(1e-6, 2))
+    _, prob = grover_boost(_rotation_state(1e-6), 1, 2)
     assert prob == pytest.approx(np.sin(5 * np.arcsin(1e-6)) ** 2, abs=1e-15)
 
 
@@ -145,8 +146,10 @@ def test_oaa_rejects_zero_or_non_finite_input_state():
                 oaa_boost_report(circ, target, np.array(psi))
 
 
-def test_aa_problem_validation():
-    with pytest.raises(ValueError, match="unitary"):
-        AAProblem(np.diag([1.0, 0.5]).astype(complex), 1)
-    with pytest.raises(ValueError, match="signal"):
-        AAProblem(np.eye(4, dtype=complex), 3)
+def test_grover_boost_validation():
+    for psi0 in ([1.0, 0.5], [np.nan, 1.0]):
+        with pytest.raises(ValueError, match="unit vector"):
+            grover_boost(np.array(psi0), 1)
+    for psi0, sig in ((np.eye(4)[0], 3), (np.eye(4)[0], 0), (np.ones(3) / np.sqrt(3), 1)):
+        with pytest.raises(ValueError, match="signal"):
+            grover_boost(psi0, sig)
