@@ -19,12 +19,12 @@ from .linalg import (
     DEFAULT_TOL,
     PAULI_X,
     PAULI_Z,
+    _unitary_within,
     as_cmatrix,
     bit_index,
     haar_unitary,
     herm_funcmat,
     is_hermitian,
-    is_unitary,
     kron,
     mat_embed_block,
     opnorm,
@@ -69,7 +69,7 @@ class BlockEncoding:
                 raise ValueError("selector length must equal the ancilla count")
             if sel.strip("01"):
                 raise ValueError(f"{name} must be a bitstring, got {sel!r}")
-        if not is_unitary(self.u, DEFAULT_TOL):
+        if not _unitary_within(self.u, DEFAULT_TOL.atol):  # u is already checked finite
             raise ValueError("u is not unitary within 1e-10")
 
     @property

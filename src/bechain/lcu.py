@@ -41,7 +41,7 @@ def lcu(prep_l: npt.ArrayLike, prep_r: npt.ArrayLike, terms: Sequence[npt.ArrayL
     """(P_L ⊗ I)·(Σ_j |j⟩⟨j| ⊗ T_j)·(P_R ⊗ I), prep register most significant.
 
     Block (i, k) is Σ_j P_L[i,j]·P_R[j,k]·T_j, written straight into the
-    output: O(#terms³·dim²) work and no full-size temporaries.
+    output through one block-size scratch array: O(#terms³·dim²) work.
     """
     p_l, p_r = as_cmatrix(prep_l), as_cmatrix(prep_r)
     terms = [as_cmatrix(t) for t in terms]
@@ -52,12 +52,14 @@ def lcu(prep_l: npt.ArrayLike, prep_r: npt.ArrayLike, terms: Sequence[npt.ArrayL
     if any(t.shape != (dim, dim) for t in terms):
         raise ValueError("terms must be square matrices of one size")
     coef = p_l[:, :, None] * p_r[None, :, :]  # coef[i, j, k] = P_L[i,j]·P_R[j,k]
-    out = np.zeros((m * dim, m * dim), dtype=complex)
+    out = np.empty((m * dim, m * dim), dtype=complex)
+    scratch = np.empty((dim, dim), dtype=complex)
     for i in range(m):
         for k in range(m):
             blk = out[i * dim : (i + 1) * dim, k * dim : (k + 1) * dim]
-            for j, t in enumerate(terms):
-                blk += coef[i, j, k] * t
+            np.multiply(coef[i, 0, k], terms[0], out=blk)
+            for j in range(1, m):
+                blk += np.multiply(coef[i, j, k], terms[j], out=scratch)
     return out
 
 
@@ -161,6 +163,8 @@ def _w_lcu(root_grid: _Grid, input_grid: _Grid, a2: int, n: int) -> BlockEncodin
     a2 ancillae: the layout is [prep 1][anc a2][dilation qubit][n].
     """
     s = SIN_PI_14
-    t_root = select_qubit(root_grid, split=a2)
-    t_input = select_qubit(input_grid, split=a2)
-    return BlockEncoding(pair_select(math.sqrt(8.0) * s, t_root, s, t_input), 1 + a2, n + 1)
+    # the two selects are arguments only, so they are freed before W is validated
+    w = pair_select(
+        math.sqrt(8.0) * s, select_qubit(root_grid, split=a2), s, select_qubit(input_grid, split=a2)
+    )
+    return BlockEncoding(w, 1 + a2, n + 1)

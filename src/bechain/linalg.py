@@ -71,27 +71,50 @@ def _opnorm_within(dev: CMatrix, atol: float) -> bool:
     return bool(dev.size and np.linalg.norm(dev) <= atol) or opnorm(dev) <= atol
 
 
-def is_unitary(m: npt.ArrayLike, tol: Tolerance = DEFAULT_TOL) -> bool:
-    """True iff ``‖M†M − I‖ ≤ atol``.
+ROW_PANEL = 64  # rows per panel where a whole-matrix temporary would be full size
+
+
+def _unitary_within(arr: CMatrix, atol: float) -> bool:
+    """``‖M†M − I‖ ≤ atol`` for a finite square complex128 M: the one unitarity kernel.
 
     For square M this also decides ``‖MM† − I‖ ≤ atol``: the two deviations
     have the same spectrum, so one Gram product suffices.  With M = X + iY it
     is built from real products, Re(M†M) = [X;Y]ᵀ[X;Y] (one symmetric rank-k
     update) and Im(M†M) = P − Pᵀ with P = XᵀY: half the multiply-adds of the
-    complex product.
+    complex product.  Since ‖E‖₂ ≤ ‖E‖_F, the squared Frobenius norm of each
+    part (the skew part in row panels) accepts without forming the complex E;
+    only past it is E built, and the SVD's verdict stands.
     """
-    arr = as_cmatrix(m)
     dim = arr.shape[0]
-    if arr.shape[1] != dim:
-        raise ValueError(f"non-square matrix of shape {arr.shape}")
     xy = np.concatenate([arr.real, arr.imag])
-    dev = np.empty((dim, dim, 2))  # interleaved (real, imag): viewed as complex below
+
+    def real_part() -> npt.NDArray[np.float64]:  # Re(M†M) − I
+        gram = xy.T @ xy
+        gram.reshape(-1)[:: dim + 1] -= 1.0
+        return gram
+
+    re = real_part()
+    sq = np.vdot(re, re)
+    del re
     p = xy[:dim].T @ xy[dim:]
+    for r in range(0, dim, ROW_PANEL):
+        skew = p[r : r + ROW_PANEL] - p[:, r : r + ROW_PANEL].T
+        sq += np.vdot(skew, skew)
+    if dim and sq <= atol * atol:
+        return True
+    dev = np.empty((dim, dim, 2))  # interleaved (real, imag): viewed as complex below
     np.subtract(p, p.T, out=dev[..., 1])
-    gram = xy.T @ xy
-    gram.reshape(-1)[:: dim + 1] -= 1.0  # the diagonal: subtract I
-    dev[..., 0] = gram
-    return _opnorm_within(dev.view(complex)[..., 0], tol.atol)
+    del p
+    dev[..., 0] = real_part()
+    return opnorm(dev.view(complex)[..., 0]) <= atol
+
+
+def is_unitary(m: npt.ArrayLike, tol: Tolerance = DEFAULT_TOL) -> bool:
+    """True iff ``‖M†M − I‖ ≤ atol`` (see :func:`_unitary_within`)."""
+    arr = as_cmatrix(m)
+    if arr.shape[1] != arr.shape[0]:
+        raise ValueError(f"non-square matrix of shape {arr.shape}")
+    return _unitary_within(arr, tol.atol)
 
 
 def is_hermitian(m: npt.ArrayLike, tol: Tolerance = DEFAULT_TOL) -> bool:
@@ -207,8 +230,9 @@ def select_qubit(blocks: Sequence[Sequence[Optional[npt.ArrayLike]]], split: int
     The new qubit sits at position ``split``: the result acts on k+1 qubits
     laid out as [first ``split`` block qubits][new qubit][rest of the block].
     """
-    given = [as_cmatrix(b) for row in blocks for b in row if b is not None]
-    if len(blocks) != 2 or any(len(row) != 2 for row in blocks) or not given:
+    cells = [[None if b is None else as_cmatrix(b) for b in row] for row in blocks]
+    given = [b for row in cells for b in row if b is not None]
+    if len(cells) != 2 or any(len(row) != 2 for row in cells) or not given:
         raise ValueError("need a 2x2 grid of blocks with at least one nonzero block")
     dim = given[0].shape[0]
     k = dim.bit_length() - 1
@@ -217,13 +241,14 @@ def select_qubit(blocks: Sequence[Sequence[Optional[npt.ArrayLike]]], split: int
     if not 0 <= split <= k:
         raise ValueError(f"split {split} outside 0..{k}")
     out = np.zeros((2 * dim, 2 * dim), dtype=complex)
-    for i, row in enumerate(blocks):
+    hi, lo = 2**split, dim >> split
+    # row and column index: (first ``split`` block qubits, new qubit, rest of the block)
+    grid = out.reshape(hi, 2, lo, hi, 2, lo)
+    for i, row in enumerate(cells):
         for j, b in enumerate(row):
             if b is not None:
-                out[i * dim : (i + 1) * dim, j * dim : (j + 1) * dim] = b
-    if split == 0:
-        return out
-    return permute_qubits(out, list(range(1, split + 1)) + [0] + list(range(split + 1, k + 1)))
+                grid[:, i, :, :, j, :] = b.reshape(hi, lo, hi, lo)
+    return out
 
 
 def householder_column(v: npt.ArrayLike) -> CMatrix:

@@ -311,10 +311,17 @@ def sum_bad_sequences(
 
 def gadget_error_exact(circ: MCMCircuit, target: np.ndarray) -> float:
     """‖target − ⟨0^{m+a}|U_MCM|0^{m+a}⟩‖ (operator norm)."""
+    return corner_error(corner_columns(circ), target)
+
+
+def corner_error(columns: CMatrix, target: np.ndarray) -> float:
+    """:func:`gadget_error_exact` from the circuit's ``corner_columns``: their
+    first 2^n rows are the block."""
     tgt = as_cmatrix(target)
-    if tgt.shape != (2**circ.n, 2**circ.n):
+    dn = columns.shape[1]
+    if tgt.shape != (dn, dn):
         raise ValueError("target dimension does not match the system register")
-    return opnorm(tgt - embe_block(circ))
+    return opnorm(tgt - columns[:dn])
 
 
 def macg_bound(k: int, p: int, c: float) -> float:

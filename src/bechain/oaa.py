@@ -16,7 +16,7 @@ from typing import Optional
 import numpy as np
 
 from .linalg import as_cmatrix
-from .mcm import MCMCircuit, corner_columns, gadget_error_exact
+from .mcm import MCMCircuit, corner_columns, corner_error
 
 MAX_AUTO_ITERATIONS = 1000  # bounds an automatic count's work; admits α > sin(π/4004)
 
@@ -55,7 +55,7 @@ def grover_boost(
 
     G = (2|ψ₀⟩⟨ψ₀| − I)(I − 2Π_sig), with Π_sig the projector onto |0^sig⟩ on
     the ``sig`` most significant qubits; each iteration is two O(dim) vector
-    steps.  k = None picks :func:`auto_iterations`.
+    steps.  k = None picks :func:`auto_iterations`; a negative k is a ValueError.
     """
     psi0 = np.array(psi0, dtype=complex).reshape(-1)
     norm = np.linalg.norm(psi0)
@@ -68,9 +68,13 @@ def grover_boost(
     alpha = float(np.linalg.norm(psi0[:sub]))
     if alpha < 1e-12:
         raise ValueError("no good component: signal amplitude below 1e-12")
+    if k is None:
+        k = auto_iterations(alpha)
+    elif k < 0:
+        raise ValueError(f"iteration count k = {k} is negative")
     sign = np.where(np.arange(psi0.size) < sub, -1.0, 1.0)  # I − 2Π_sig
     state = psi0
-    for _ in range(k if k is not None else auto_iterations(alpha)):
+    for _ in range(k):
         state = sign * state
         state = 2.0 * np.vdot(psi0, state) * psi0 - state
     return state, float(np.linalg.norm(state[:sub]) ** 2)
@@ -88,7 +92,8 @@ def oaa_boost_report(
     Grover rotation, so the fidelity is governed by the gadget error;
     boosting raises the signal probability.
     """
-    eps = gadget_error_exact(circ, target)
+    cols = corner_columns(circ)
+    eps = corner_error(cols, target)
     if eps >= 1.0:
         raise ValueError("gadget error must be below 1 for OAA to make sense")
     tgt = as_cmatrix(target)
@@ -102,7 +107,7 @@ def oaa_boost_report(
         raise ValueError("vanishing good amplitude: ‖A_[K]|ψ⟩‖ ≈ 0")
     good = good / np.linalg.norm(good)
 
-    psi0 = corner_columns(circ) @ psi
+    psi0 = cols @ psi
     alpha_before = float(np.linalg.norm(psi0[: 2**circ.n]))
     k_used = k if k is not None else auto_iterations(alpha_before)
     state, prob_after = grover_boost(psi0, circ.m + circ.a, k_used)

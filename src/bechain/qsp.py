@@ -20,11 +20,13 @@ from numpy.polynomial import chebyshev as np_cheb
 
 from .encoding import BlockEncoding, normalize_selectors
 from .lcu import lcu
-from .linalg import CMatrix, HADAMARD, kron
+from .linalg import CMatrix, HADAMARD, ROW_PANEL, kron
 
 MAX_DEGREE = 512
 _QSP_SUP_LIMIT = 1.0 - 1e-6
 _LP_SUP_BOUND = 0.98
+_LP_TARGET = 0.95  # an LP fit is kept if its minimax error is at most this fraction of η
+_LP_SKIP_MARGIN = 1e-6
 _FIT_DOMAIN_MARGIN = 0.8
 _MAX_RESTARTS = 10
 
@@ -133,16 +135,34 @@ def _cheb_nodes(lo: float, hi: float, count: int) -> np.ndarray:
     return (hi + lo) / 2 + (hi - lo) / 2 * t
 
 
+def _fit_rows(degree: int, lo_fit: float) -> tuple[np.ndarray, np.ndarray]:
+    """The LP's fit rows: the even design at its nodes on [lo_fit, 1], and ½√x there."""
+    x_fit = _cheb_nodes(lo_fit, 1.0, max(6 * (degree // 2 + 1), 90))
+    return _cheb_design(x_fit, degree), 0.5 * np.sqrt(x_fit)
+
+
+def _lp_must_fail(degree: int, lo_fit: float, eta: float) -> bool:
+    """True if the rung's LP provably returns None, so it need not be solved.
+
+    The LP optimum t* = max_i |(A c − f)_i| over the fit nodes is at least the
+    RMS of A c − f, and so at least the least-squares residual's RMS
+    ‖A c_LS − f‖₂/√N; the bound constraints only raise t*.  The margin is ten
+    times HiGHS's primal-feasibility tolerance.
+    """
+    a_fit, f = _fit_rows(degree, lo_fit)
+    c_ls = np.linalg.lstsq(a_fit, f, rcond=None)[0]
+    rms = np.linalg.norm(a_fit @ c_ls - f) / np.sqrt(f.size)
+    return rms - _LP_SKIP_MARGIN > _LP_TARGET * eta
+
+
 def _half_sqrt_lp(degree: int, lo_fit: float, eta: float) -> Optional[np.ndarray]:
     """One LP solve: even coefficients of a minimax fit, or None on failure."""
     from scipy.optimize import linprog  # deferred: `import bechain` loads numpy only
 
     ncoef = degree // 2 + 1
-    x_fit = _cheb_nodes(lo_fit, 1.0, max(6 * ncoef, 90))
     x_bnd = _cheb_nodes(0.0, 1.0, max(10 * ncoef, 240))
-    a_fit = _cheb_design(x_fit, degree)
+    a_fit, f = _fit_rows(degree, lo_fit)
     a_bnd = _cheb_design(x_bnd, degree)
-    f = 0.5 * np.sqrt(x_fit)
 
     ones = np.ones((a_fit.shape[0], 1))
     zeros = np.zeros((a_bnd.shape[0], 1))
@@ -166,7 +186,7 @@ def _half_sqrt_lp(degree: int, lo_fit: float, eta: float) -> Optional[np.ndarray
         bounds=[(None, None)] * ncoef + [(0, None)],
         method="highs",
     )
-    if not res.success or res.x[-1] > 0.95 * eta:
+    if not res.success or res.x[-1] > _LP_TARGET * eta:
         return None
     return res.x[:ncoef]
 
@@ -193,6 +213,8 @@ def approx_half_sqrt(delta: float, eta: float) -> ChebPoly:
     dense_all = np.linspace(-1.0, 1.0, 20_001)
     best_err = np.inf
     for degree in _degree_ladder():
+        if _lp_must_fail(degree, lo_fit, eta):
+            continue
         c_even = _half_sqrt_lp(degree, lo_fit, eta)
         if c_even is None:
             continue
@@ -226,32 +248,43 @@ def _w_matrices(x: np.ndarray) -> np.ndarray:
     return w
 
 
-def _qsp_prefixes(phases: np.ndarray, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Every prefix P_j = e^{iφ₀Z}·W⋯W·e^{iφ_jZ}, shape (d+1, M, 2, 2), and W(x).
+def _qsp_scan(
+    phases: np.ndarray, x: np.ndarray, keep_prefixes: bool
+) -> tuple[np.ndarray, np.ndarray]:
+    """The QSP product scan P_j = e^{iφ₀Z}·W⋯W·e^{iφ_jZ} over j, and W(x).
 
-    P_d is U_Φ(x).  Each e^{iφZ} acts as a column scaling by (e^{iφ}, e^{−iφ}).
+    Returns every prefix, shape (d+1, M, 2, 2), if ``keep_prefixes``; else two
+    alternating slots, with P_d = U_Φ(x) in slot d mod 2.  Each e^{iφZ} acts as
+    a column scaling by (e^{iφ}, e^{−iφ}).
     """
     w = _w_matrices(x)
     cols = np.exp(1j * np.multiply.outer(phases, [1.0, -1.0]))
-    prefix = np.empty((phases.size, x.size, 2, 2), dtype=complex)
+    slots = phases.size if keep_prefixes else 2
+    prefix = np.empty((slots, x.size, 2, 2), dtype=complex)
     prefix[0] = np.diag(cols[0])
     for j in range(1, phases.size):
-        np.matmul(prefix[j - 1], w, out=prefix[j])
-        prefix[j] *= cols[j]
+        cur = prefix[j % slots]
+        np.matmul(prefix[(j - 1) % slots], w, out=cur)
+        cur *= cols[j]
     return prefix, w
+
+
+def _qsp_unitaries(phases: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """U_Φ(x) at every point, shape (M, 2, 2), in O(M) memory."""
+    return _qsp_scan(phases, x, keep_prefixes=False)[0][(phases.size - 1) % 2]
 
 
 def qsp_eval(phi: PhaseFactors, x: float) -> CMatrix:
     """The 2×2 unitary U_Φ(x) = e^{iφ₀Z} Π_j W(x) e^{iφ_j Z}."""
     if not -1.0 <= x <= 1.0:
         raise ValueError("x must lie in [-1, 1]")
-    return _qsp_prefixes(phi.phases, np.asarray([float(x)]))[0][-1, 0]
+    return _qsp_unitaries(phi.phases, np.asarray([float(x)]))[0]
 
 
 def qsp_poly_value(phi: PhaseFactors, x) -> np.ndarray:
     """The realized polynomial Re⟨0|U_Φ(x)|0⟩, vectorized over x."""
     xs = np.atleast_1d(np.asarray(x, dtype=float))
-    return np.real(_qsp_prefixes(phi.phases, xs)[0][-1, :, 0, 0])
+    return np.real(_qsp_unitaries(phi.phases, xs)[:, 0, 0])
 
 
 def _residual_and_jac(
@@ -265,7 +298,7 @@ def _residual_and_jac(
     one prefix scan gives every d⟨0|U|0⟩/dφ_j = (P_j·iZ·S_j)[0,0]; the fold
     sums the columns of φ_j and φ_{d−j}.
     """
-    prefix, w = _qsp_prefixes(free[fold], xs)
+    prefix, w = _qsp_scan(free[fold], xs, keep_prefixes=True)
     row0 = prefix[:, :, 0, :]  # (d+1, M, 2)
     # S_j[:, 0] = row 0 of P_{d−j−1}·W, for j = 0 … d−1; S_d[:, 0] = (1, 0)
     s_col = np.zeros_like(row0)
@@ -318,6 +351,15 @@ def solve_phases(p: ChebPoly) -> PhaseFactors:
     xs = np.cos(np.pi * (2 * np.arange(m) + 1) / (4 * m))  # nodes in (0, 1)
     target = np.asarray(p(xs), dtype=float)
 
+    # least_squares asks for the residual and then the Jacobian at the same
+    # phases: one scan serves both
+    last: list = [None, None]  # [v, (residual, Jacobian)]
+
+    def scan(v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        if last[0] is None or not np.array_equal(last[0], v):
+            last[:] = [v.copy(), _residual_and_jac(v, fold, xs, target)]
+        return last[1]
+
     seed_free = np.zeros(nfree)
     seed_free[0] = np.pi / 4
     rng = np.random.default_rng(271828)
@@ -325,9 +367,9 @@ def solve_phases(p: ChebPoly) -> PhaseFactors:
     for restart in range(_MAX_RESTARTS):
         x0 = seed_free if restart == 0 else seed_free + 0.3 * rng.standard_normal(nfree)
         sol = least_squares(
-            lambda v: _residual_and_jac(v, fold, xs, target)[0],
+            lambda v: scan(v)[0],
             x0,
-            jac=lambda v: _residual_and_jac(v, fold, xs, target)[1],
+            jac=lambda v: scan(v)[1],
             method="lm",
             xtol=2.3e-16,
             ftol=2.3e-16,
@@ -403,16 +445,19 @@ def _qsvt_product(
     c = u[:, :block_dim] if d % 2 else u[:block_dim].conj().T  # c = r† for even d
     c_dag = c.conj().T
     if d % 2:  # R₀·[U R₁ U†]·R₂ ⋯ [U R_{d−2} U†]·R_{d−1}·U·R_d
-        out = phase_vec(refl[d - 1])[:, None] * u * phase_vec(refl[d])
+        out = phase_vec(refl[d - 1])[:, None] * u
+        out *= phase_vec(refl[d])
     else:  # R₀·[U† R₁ U]·R₂ ⋯ [U† R_{d−1} U]·R_d
         out = np.diag(phase_vec(refl[d]))
     for j in range(d - 1 - d % 2, 0, -2):
         # at j = d − 1 (even d only) ``out`` is still the diagonal R_d
         proj = c_dag * np.diag(out) if j == d - 1 else c_dag @ out
         out *= np.exp(-1j * refl[j])
-        out += (2j * np.sin(refl[j]) * c) @ proj
+        c_scaled = 2j * np.sin(refl[j]) * c
+        for r in range(0, out.shape[0], ROW_PANEL):  # the rank-b update, no full-size temporary
+            out[r : r + ROW_PANEL] += c_scaled[r : r + ROW_PANEL] @ proj
         out *= phase_vec(refl[j - 1])[:, None]
-    return gphase * out
+    return np.multiply(gphase, out, out=out)
 
 
 def qsvt_apply(

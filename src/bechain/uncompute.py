@@ -146,9 +146,12 @@ def _uncompute(
     # two V uses per (I − M†M)/2 application, and each V once bare inside W
     queries_per_w = 2 * calls + len(grams)
     w_be = build_w(roots)
+    del roots
+    w_block, work = w_be.block(), w_be.a  # working ancillae, all selected at 0
     calls = 0
-    amplified = -_qsvt_product(w_be.u, 2**w_be.n, np.zeros(OAA_ORDER + 1), on_query=tick)
-    work = w_be.a  # working ancillae, all selected at 0
+    amplified = _qsvt_product(w_be.u, 2**w_be.n, np.zeros(OAA_ORDER + 1), on_query=tick)
+    del w_be  # W is released before the amplified unitary is validated
+    np.negative(amplified, out=amplified)
     result = BlockEncoding(
         amplified, work + 1, enc.n, bra_sel="0" * work + bra, ket_sel="0" * (work + 1)
     )
@@ -163,7 +166,7 @@ def _uncompute(
         queries_vh=queries_per_w * calls,
         ancillae_peak=result.a,
         qsvt_degree=poly.degree,
-        eps_w=opnorm(w_be.block() - SIN_PI_14 * u_target),
+        eps_w=opnorm(w_block - SIN_PI_14 * u_target),
         eps_dilation=opnorm(single_ancilla_unitary(result) - u_target),
     )
     return result, report

@@ -120,6 +120,42 @@ def test_select_qubit():
     np.testing.assert_allclose(got, direct, atol=1e-14)
 
 
+def _select_qubit_reference(blocks, split):
+    """The dense construction: the 2×2 grid at split 0, then a qubit permutation."""
+    dim = next(b for row in blocks for b in row if b is not None).shape[0]
+    k = dim.bit_length() - 1
+    out = np.zeros((2 * dim, 2 * dim), dtype=complex)
+    for i, row in enumerate(blocks):
+        for j, b in enumerate(row):
+            if b is not None:
+                out[i * dim : (i + 1) * dim, j * dim : (j + 1) * dim] = b
+    return permute_qubits(out, list(range(1, split + 1)) + [0] + list(range(split + 1, k + 1)))
+
+
+@settings(deadline=None, max_examples=60)
+@given(
+    k=st.integers(0, 6),
+    split=st.integers(0, 6),
+    mask=st.integers(1, 15),
+    seed=st.integers(0, 10**6),
+)
+def test_select_qubit_matches_permuted_reference(k, split, mask, seed):
+    rng = np.random.default_rng(seed)
+    dim, split = 2**k, min(split, k)
+    blocks = [
+        [
+            rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+            if mask >> (2 * i + j) & 1 else None
+            for j in range(2)
+        ]
+        for i in range(2)
+    ]
+    got = select_qubit(blocks, split)
+    expected = _select_qubit_reference(blocks, split)
+    assert np.array_equal(got, expected)
+    assert got.tobytes() == expected.tobytes()
+
+
 def test_select_qubit_grid():
     rng = np.random.default_rng(6)
     blocks = [[haar_unitary(4, rng), None], [haar_unitary(4, rng), haar_unitary(4, rng)]]
@@ -227,15 +263,15 @@ def test_is_unitary_matches_svd_definition(seed, dim, regime, atol):
 
 
 def _captured_unitarity_deviation(m, monkeypatch):
-    """The deviation matrix is_unitary hands to its verdict, and that verdict."""
-    seen, within = [], linalg_module._opnorm_within
+    """The deviation matrix the unitarity kernel hands to the SVD, and its verdict."""
+    seen, svd = [], linalg_module.opnorm
 
-    def capture(dev, atol):
+    def capture(dev):
         seen.append(dev)
-        return within(dev, atol)
+        return svd(dev)
 
     with monkeypatch.context() as patch:
-        patch.setattr(linalg_module, "_opnorm_within", capture)
+        patch.setattr(linalg_module, "opnorm", capture)
         verdict = is_unitary(m)
     return seen[0], verdict
 

@@ -153,3 +153,14 @@ def test_grover_boost_validation():
     for psi0, sig in ((np.eye(4)[0], 3), (np.eye(4)[0], 0), (np.ones(3) / np.sqrt(3), 1)):
         with pytest.raises(ValueError, match="signal"):
             grover_boost(psi0, sig)
+
+
+def test_negative_iteration_count_is_refused():
+    encs = [random_near_identity(1, 1, 0.2, 40 + i) for i in range(8)]
+    circ = gadget_pmacg(encs, 1)
+    psi0 = np.array([0.6, 0.8, 0.0, 0.0])
+    with pytest.raises(ValueError, match="k = -3"):
+        grover_boost(psi0, 2, -3)
+    with pytest.raises(ValueError, match="k = -1"):
+        oaa_boost_report(circ, block_product(encs), np.array([0.6, 0.8]), k=-1)
+    assert grover_boost(psi0, 2, 0)[1] == pytest.approx(0.36, abs=1e-15)

@@ -63,6 +63,27 @@ def test_half_sqrt_degree_scaling():
     assert d3 <= 2 * d2 + 4  # doubling log(1/eta) from 1e-2 to 1e-4
 
 
+@pytest.mark.parametrize("delta", [0.25, 0.1])
+def test_half_sqrt_ladder_skips_only_failing_rungs(delta, monkeypatch):
+    # a rung skipped by the least-squares bound is one whose LP returns None, so
+    # the ladder that solves every LP finds the same polynomial
+    import bechain.qsp as qsp_module
+
+    lo_fit = qsp_module._FIT_DOMAIN_MARGIN * delta
+    for eta in (1e-2, 1e-3, 1e-4):
+        got = approx_half_sqrt(delta, eta)
+        for degree in qsp_module._degree_ladder():
+            if degree > got.degree:
+                break
+            if qsp_module._lp_must_fail(degree, lo_fit, eta):
+                assert qsp_module._half_sqrt_lp(degree, lo_fit, eta) is None, (eta, degree)
+        with monkeypatch.context() as patch:
+            patch.setattr(qsp_module, "_lp_must_fail", lambda *args: False)
+            reference = approx_half_sqrt(delta, eta)
+        assert got.degree == reference.degree
+        assert np.array_equal(got.coeffs, reference.coeffs)
+
+
 def test_half_sqrt_validation():
     with pytest.raises(ValueError):
         approx_half_sqrt(0.0, 1e-2)
@@ -215,6 +236,38 @@ def test_solve_phases_random_targets():
         assert phi.residual <= 1e-8
 
 
+def test_solve_phases_scans_each_point_once(monkeypatch):
+    # least_squares asks for the residual and the Jacobian at the same phases
+    import bechain.qsp as qsp_module
+
+    scanned, scan = [], qsp_module._residual_and_jac
+
+    def recorded(free, *args):
+        scanned.append(free.copy())
+        return scan(free, *args)
+
+    monkeypatch.setattr(qsp_module, "_residual_and_jac", recorded)
+    phi = solve_phases(approx_half_sqrt(0.25, 1e-3).rescaled(0.999))
+    assert phi.residual <= 1e-8
+    assert len(scanned) > 2
+    assert not any(np.array_equal(a, b) for a, b in zip(scanned, scanned[1:]))
+
+
+def test_qsp_poly_value_memory_is_linear_in_points():
+    # one running product: two (M, 2, 2) slots and W(x), not all d + 1 prefixes
+    import tracemalloc
+
+    phi = PhaseFactors(np.random.default_rng(3).uniform(-1.0, 1.0, 145), "even")
+    xs = np.linspace(-1.0, 1.0, 10_000)
+    tracemalloc.start()
+    try:
+        qsp_poly_value(phi, xs)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 8 * xs.size * 64  # 5.1 MB; all prefixes would take 93 MB
+
+
 def test_solve_phases_rejects_norm_above_one():
     p = cheb_t(2).rescaled(1.2)
     with pytest.raises(ValueError, match="rescale"):
@@ -307,6 +360,49 @@ def test_qsvt_product_matches_dense_loop(dim_log, block_log, degree, seed):
     got = _qsvt_product(u, block_dim, phases, on_query=lambda: queries.append(1))
     assert len(queries) == degree
     np.testing.assert_allclose(got, _dense_qsvt_product(u, block_dim, phases), rtol=0, atol=1e-12)
+
+
+def _rank_update_qsvt_product(u, block_dim, rot_phases):
+    """Reference: the same rank-b updates, each applied as one whole-matrix product."""
+    refl, gphase = _reflection_phases(rot_phases)
+    d = refl.size - 1
+
+    def phase_vec(phi):
+        v = np.full(u.shape[0], np.exp(-1j * phi), dtype=complex)
+        v[:block_dim] = np.exp(1j * phi)
+        return v
+
+    c = u[:, :block_dim] if d % 2 else u[:block_dim].conj().T
+    c_dag = c.conj().T
+    if d % 2:
+        out = phase_vec(refl[d - 1])[:, None] * u * phase_vec(refl[d])
+    else:
+        out = np.diag(phase_vec(refl[d]))
+    for j in range(d - 1 - d % 2, 0, -2):
+        proj = c_dag * np.diag(out) if j == d - 1 else c_dag @ out
+        out *= np.exp(-1j * refl[j])
+        out += (2j * np.sin(refl[j]) * c) @ proj
+        out *= phase_vec(refl[j - 1])[:, None]
+    return gphase * out
+
+
+@settings(deadline=None, max_examples=40)
+@given(
+    dim_log=st.integers(1, 9),
+    block_log=st.integers(0, 6),
+    degree=st.integers(0, 12),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_qsvt_product_row_panels_bit_identical(dim_log, block_log, degree, seed):
+    # the row-panel updates change no bit of the whole-matrix ones, past one panel too
+    rng = np.random.default_rng(seed)
+    u = haar_unitary(2**dim_log, rng)
+    block_dim = 2 ** min(block_log, dim_log - 1)
+    phases = rng.uniform(-np.pi, np.pi, degree + 1)
+    got = _qsvt_product(u, block_dim, phases)
+    expected = _rank_update_qsvt_product(u, block_dim, phases)
+    assert np.array_equal(got, expected)
+    assert got.tobytes() == expected.tobytes()
 
 
 def test_qsvt_parity_mismatch():

@@ -180,3 +180,27 @@ def test_uncompute_raises_when_accuracy_missed(monkeypatch):
     with pytest.raises(EpsilonExceededError) as exc:
         unc.uncompute_hermitian(vh, 0.25, 1e-3)
     assert exc.value.eps_measured > 1e-3
+
+
+def test_pipeline_peak_allocation():
+    # n = 2, a = 3: W and the amplified unitary are 512 × 512 (4 MiB each).  A
+    # pipeline holds at most 3.5 full-size matrices of numpy allocations at once.
+    import tracemalloc
+
+    rng = np.random.default_rng(81)
+    h = random_hermitian(4, 0.7, rng)
+    mat = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
+    mat = 0.7 * mat / opnorm(mat)
+    va = scramble_ancillas(pad_ancillas(normalize_selectors(dilate_general(mat)), 3), 83)
+    runs = ((uncompute_hermitian, hermitian_test_encoding(h, 3, 82)), (uncompute_general, va))
+    limit = 3.5 * 512**2 * 16
+    for pipeline, enc in runs:
+        pipeline(enc, 0.25, 1e-3)  # warm: scipy's import and the cached phases
+        tracemalloc.start()
+        try:
+            result, _ = pipeline(enc, 0.25, 1e-3)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert result.dim == 512
+        assert peak <= limit, (pipeline.__name__, peak)
