@@ -1,10 +1,10 @@
 #!/usr/bin/env python3
-"""Query count of the single-ancilla pipeline vs target accuracy.
+"""Query count of the single-ancilla pipeline vs target accuracy and gap.
 
-Prints one row per eps with the oracle-query count and measured error,
-confirming the O(log(1/eps)) growth at fixed delta.
+Prints one row per (delta, eps) with the oracle-query count, the QSVT
+degree and the measured error, showing the O((1/delta)·log(1/eps)) growth.
 
-Usage: python scripts/uncompute_query_scaling.py [delta]
+Usage: python scripts/uncompute_query_scaling.py [delta[,delta...]]
 """
 
 import sys
@@ -17,15 +17,16 @@ from bechain.linalg import random_hermitian
 
 
 def main() -> int:
-    delta = float(sys.argv[1]) if len(sys.argv) > 1 else 0.25
-    rng = np.random.default_rng(0)
-    h = random_hermitian(2, (1.0 - delta) * 0.9, rng)
-    vh = hermitian_test_encoding(h, 2, 17)
-    print(f"{'eps':>8} {'queries':>8} {'degree':>7} {'measured':>12}")
-    for eps in (1e-1, 1e-2, 1e-3, 1e-4):
-        _, rep = uncompute_hermitian(vh, delta, eps)
-        print(f"{eps:>8.0e} {rep.queries_vh:>8d} {rep.qsvt_degree:>7d} "
-              f"{rep.eps_measured:>12.4e}")
+    deltas = [float(d) for d in sys.argv[1].split(",")] if len(sys.argv) > 1 else [0.25]
+    print(f"{'delta':>6} {'eps':>8} {'queries':>8} {'degree':>7} {'measured':>12}")
+    for delta in deltas:
+        rng = np.random.default_rng(0)
+        h = random_hermitian(2, (1.0 - delta) * 0.9, rng)
+        vh = hermitian_test_encoding(h, 2, 17)
+        for eps in (1e-1, 1e-2, 1e-3, 1e-4):
+            _, rep = uncompute_hermitian(vh, delta, eps)
+            print(f"{delta:>6g} {eps:>8.0e} {rep.queries_vh:>8d} {rep.qsvt_degree:>7d} "
+                  f"{rep.eps_measured:>12.4e}")
     return 0
 
 

@@ -26,7 +26,6 @@ from .linalg import (
     herm_funcmat,
     is_hermitian,
     kron,
-    mat_embed_block,
     opnorm,
     random_hermitian,
     select_qubit,
@@ -77,8 +76,13 @@ class BlockEncoding:
         return 2 ** (self.a + self.n)
 
     def block(self) -> CMatrix:
-        """The selected 2^n × 2^n block ⟨bra_sel|U|ket_sel⟩ (unscaled)."""
-        return mat_embed_block(self.u, self.bra_sel, self.ket_sel, self.a, self.n)
+        """The selected 2^n × 2^n block ⟨bra_sel|U|ket_sel⟩ (unscaled).
+
+        A slice copy of the u that construction validated, not a rescan of it.
+        """
+        sub = 2**self.n
+        i, j = bit_index(self.bra_sel) * sub, bit_index(self.ket_sel) * sub
+        return self.u[i : i + sub, j : j + sub].copy()
 
 
 @dataclass(frozen=True)

@@ -46,7 +46,6 @@ from .linalg import (
     dagger,
     is_hermitian,
     is_unitary,
-    mat_embed_block,
     opnorm,
 )
 from .qsp import ChebPoly, PhaseFactors, _qsvt_product, approx_half_sqrt, qsvt_apply, solve_phases
@@ -191,9 +190,15 @@ def uncompute_hermitian(
 
 
 def single_ancilla_unitary(result: BlockEncoding) -> CMatrix:
-    """Contract the working ancillae: the (n+1)-qubit matrix ≈ U_H (or U_A)."""
-    work = result.a - 1
-    return mat_embed_block(result.u, "0" * work, "0" * work, work, result.n + 1)
+    """Contract the working ancillae: the (n+1)-qubit matrix ≈ U_H (or U_A).
+
+    The working ancillae lead the register, so this is the top-left corner of
+    the already validated u.
+    """
+    if result.a < 1:
+        raise ValueError("the result has no dilation qubit")
+    dim = 2 ** (result.n + 1)
+    return result.u[:dim, :dim].copy()
 
 
 def _w_general(

@@ -144,23 +144,38 @@ def test_usage_error_exit_code():
 
 COLD_IMPORT_CHILD = """
 import sys
+import numpy as np
 import bechain, bechain.cli
-from bechain import block_product, gadget_error_exact, gadget_pmacg, random_near_identity
+from bechain import (
+    approx_half_sqrt, block_product, gadget_error_exact, gadget_pmacg, lower_bound_probe,
+    random_block_encoding, random_near_identity, solve_phases, uncompute_general,
+    uncompute_hermitian,
+)
+from bechain.encoding import dilate_general, hermitian_test_encoding, pad_ancillas
+from bechain.linalg import random_hermitian
+from bechain.uncompute import phase_correct_twisted
 
 def scipy_modules():
     return sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
 
 encs = [random_near_identity(1, 1, 0.1, seed) for seed in range(4)]
 gadget_error_exact(gadget_pmacg(encs, 1), block_product(encs))
+solve_phases(approx_half_sqrt(0.25, 1e-3))
+h = random_hermitian(2, 0.6, np.random.default_rng(8))
+uncompute_hermitian(hermitian_test_encoding(h, 2, 17), 0.25, 1e-3)
+a = np.array([[0.3, 0.2j], [-0.1, 0.4]])
+uncompute_general(pad_ancillas(dilate_general(a), 2), 0.25, 1e-3)
+phase_correct_twisted(np.array([[0.6, 0.8j], [0.8j, 0.6]]), 0.3, 1e-2)
 assert not scipy_modules(), scipy_modules()
-bechain.approx_half_sqrt(0.25, 0.1)
+lower_bound_probe([random_block_encoding(1, 1, seed) for seed in (700, 701)], 1, 1, 5)
 assert "scipy.optimize" in sys.modules, scipy_modules()
 """
 
 
 def test_cold_import_loads_scipy_only_on_first_solver_call():
-    # Part II (gadgets, OAA, generators) is pure numpy; scipy.optimize serves the
-    # LP, the phase solver and the probe, and loads when one of them first runs
+    # Part I (the ½√x fit, the phase solver, both uncompute pipelines and the
+    # twisted phase correction) and Part II are pure numpy; scipy.optimize
+    # serves the lower-bound probe's BFGS alone, and loads on the probe's first call
     proc = subprocess.run(
         [sys.executable, "-c", COLD_IMPORT_CHILD],
         capture_output=True, text=True, env=_child_env(),

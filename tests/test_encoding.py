@@ -123,6 +123,15 @@ def test_random_block_encoding_deterministic():
         random_block_encoding(6, 5, 0)
 
 
+@pytest.mark.parametrize("bra, ket", [("00", "00"), ("10", "01"), ("11", "10")])
+def test_block_is_a_copy_of_the_selected_slice(bra, ket):
+    be = BlockEncoding(haar_unitary(16, np.random.default_rng(4)), 2, 2, bra_sel=bra, ket_sel=ket)
+    blk = be.block()
+    assert np.array_equal(blk, mat_embed_block(be.u, bra, ket, 2, 2))
+    blk[:] = 0
+    assert np.array_equal(be.block(), mat_embed_block(be.u, bra, ket, 2, 2))
+
+
 def test_random_near_identity_properties():
     eta = 0.1
     be = random_near_identity(1, 1, eta, 3)

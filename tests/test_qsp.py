@@ -84,6 +84,83 @@ def test_half_sqrt_ladder_skips_only_failing_rungs(delta, monkeypatch):
         assert np.array_equal(got.coeffs, reference.coeffs)
 
 
+def _highs_half_sqrt(degree, lo_fit, eta):
+    """Reference: the minimax fit as one HiGHS linear program on the same fit and
+    bound rows, with the same acceptance (t* ≤ 0.95η); None on failure."""
+    from scipy.optimize import linprog
+
+    import bechain.qsp as qsp_module
+
+    ncoef = degree // 2 + 1
+    a_fit, f = qsp_module._fit_rows(degree, lo_fit)
+    a_bnd = qsp_module._cheb_design(qsp_module._cheb_nodes(0.0, 1.0, max(10 * ncoef, 240)), degree)
+    ones, zeros = np.ones((f.size, 1)), np.zeros((a_bnd.shape[0], 1))
+    a_ub = np.vstack(
+        [
+            np.hstack([a_fit, -ones]),
+            np.hstack([-a_fit, -ones]),
+            np.hstack([a_bnd, zeros]),
+            np.hstack([-a_bnd, zeros]),
+        ]
+    )
+    b_ub = np.concatenate([f, -f, np.full(2 * a_bnd.shape[0], qsp_module._LP_SUP_BOUND)])
+    c_obj = np.zeros(ncoef + 1)
+    c_obj[-1] = 1.0
+    res = linprog(
+        c_obj, A_ub=a_ub, b_ub=b_ub, bounds=[(None, None)] * ncoef + [(0, None)], method="highs"
+    )
+    if not res.success or res.x[-1] > qsp_module._LP_TARGET * eta:
+        return None
+    return res.x[:ncoef]
+
+
+@pytest.mark.parametrize("delta", [0.4, 0.25, 0.1, 0.05])
+def test_remez_exchange_matches_highs_linear_program(delta, monkeypatch):
+    # scipy's HiGHS as an independent oracle: every rung up to the chosen degree
+    # is accepted or refused alike, the ladder picks the same degree, and the
+    # exchange's minimax error is no worse than the LP's
+    import bechain.qsp as qsp_module
+
+    lo_fit = qsp_module._FIT_DOMAIN_MARGIN * delta
+    for eta in (1e-2, 1e-3, 1e-4):
+        highs = {}
+
+        def highs_lp(degree, lo, eta_):
+            return highs.setdefault(degree, _highs_half_sqrt(degree, lo, eta_))
+
+        got = approx_half_sqrt(delta, eta)
+        with monkeypatch.context() as patch:
+            patch.setattr(qsp_module, "_lp_must_fail", lambda *args: False)
+            patch.setattr(qsp_module, "_half_sqrt_lp", highs_lp)
+            reference = approx_half_sqrt(delta, eta)
+        assert got.degree == reference.degree, eta
+        for degree in qsp_module._degree_ladder():
+            if degree > got.degree:
+                break
+            remez = qsp_module._half_sqrt_lp(degree, lo_fit, eta)
+            assert (remez is None) == (highs_lp(degree, lo_fit, eta) is None), (eta, degree)
+        a_fit, f = qsp_module._fit_rows(got.degree, lo_fit)
+        err = np.max(np.abs(a_fit @ got.coeffs[::2] - f))
+        err_highs = np.max(np.abs(a_fit @ reference.coeffs[::2] - f))
+        assert err <= err_highs + 1e-12, (eta, err, err_highs)
+
+
+def test_half_sqrt_degree_is_linear_in_inverse_delta():
+    # the paper's O((1/δ)·log(1/ε)) at the pipeline's floors: degree·δ/ln(1/ε)
+    # stays within 1.25 times its largest value at δ = 0.4 down to δ = 0.025
+    from bechain.uncompute import _spectral_floor
+
+    def ratios(delta):
+        return [
+            approx_half_sqrt(_spectral_floor(delta), eps / 9.0).degree * delta / math.log(1 / eps)
+            for eps in (1e-2, 1e-3, 1e-4)
+        ]
+
+    widest = max(ratios(0.4))
+    for delta in (0.2, 0.1, 0.05, 0.025):
+        assert max(ratios(delta)) <= 1.25 * widest, delta
+
+
 def test_half_sqrt_validation():
     with pytest.raises(ValueError):
         approx_half_sqrt(0.0, 1e-2)
@@ -236,8 +313,67 @@ def test_solve_phases_random_targets():
         assert phi.residual <= 1e-8
 
 
+def _random_target(d, sup, seed):
+    rng = np.random.default_rng(seed)
+    coeffs = np.zeros(d + 1)
+    coeffs[d % 2 :: 2] = rng.standard_normal(coeffs[d % 2 :: 2].size)
+    p = ChebPoly(coeffs, "even" if d % 2 == 0 else "odd", d)
+    return p.rescaled(sup / p.sup_norm())
+
+
+def _levenberg_marquardt_phases(p):
+    """Reference: scipy's Levenberg–Marquardt on the same nodes, seed and restarts."""
+    from scipy.optimize import least_squares
+
+    d = p.degree
+    nfree = (d + 2) // 2
+    fold = _fold(d)
+    xs = _solver_nodes(d)
+    target = p(xs)
+    seed_free = np.zeros(nfree)
+    seed_free[0] = np.pi / 4
+    rng = np.random.default_rng(271828)
+    for restart in range(10):
+        x0 = seed_free if restart == 0 else seed_free + 0.3 * rng.standard_normal(nfree)
+        sol = least_squares(
+            lambda v: _residual_and_jac(v, fold, xs, target)[0],
+            x0,
+            jac=lambda v: _residual_and_jac(v, fold, xs, target)[1],
+            method="lm",
+            xtol=2.3e-16,
+            ftol=2.3e-16,
+            gtol=2.3e-16,
+            max_nfev=400 * nfree,
+        )
+        phi = PhaseFactors(sol.x[fold], p.parity)
+        grid = np.cos(np.pi * np.arange(401) / 400)
+        if np.max(np.abs(qsp_poly_value(phi, grid) - p(grid))) <= 5e-9:
+            return phi.phases
+    raise AssertionError("the reference did not converge")
+
+
+def test_gauss_newton_matches_levenberg_marquardt():
+    # scipy's least_squares as an independent oracle for the Gauss–Newton phases
+    targets = [_random_target(d, 0.9, d) for d in list(range(40)) + [64, 96, 129]]
+    targets += [
+        approx_half_sqrt(0.21875, 1e-2 / 9),
+        approx_half_sqrt(0.21875, 1e-3 / 9),
+        approx_half_sqrt(0.25, 1e-3).rescaled(0.999),
+        approx_half_sqrt(0.1, 1e-4),
+    ]
+    for p in targets:
+        got = solve_phases(p).phases
+        np.testing.assert_allclose(got, _levenberg_marquardt_phases(p), rtol=0, atol=1e-13)
+
+
+@pytest.mark.parametrize("d", [20, 51, 100])
+def test_solve_phases_converges_at_sup_0999(d):
+    phi = solve_phases(_random_target(d, 0.999, 1000 + d))
+    assert phi.residual <= 1e-8
+
+
 def test_solve_phases_scans_each_point_once(monkeypatch):
-    # least_squares asks for the residual and the Jacobian at the same phases
+    # each Gauss–Newton step scans one new point for its residual and Jacobian
     import bechain.qsp as qsp_module
 
     scanned, scan = [], qsp_module._residual_and_jac

@@ -167,6 +167,17 @@ def test_uncompute_general_stage_budgets():
             )
 
 
+def test_single_ancilla_unitary_is_the_working_zero_corner():
+    from bechain.linalg import haar_unitary, mat_embed_block
+
+    result = BlockEncoding(haar_unitary(32, np.random.default_rng(6)), 3, 2, bra_sel="001")
+    assert np.array_equal(
+        single_ancilla_unitary(result), mat_embed_block(result.u, "00", "00", 2, 3)
+    )
+    with pytest.raises(ValueError, match="dilation qubit"):
+        single_ancilla_unitary(BlockEncoding(np.eye(2, dtype=complex), 0, 1))
+
+
 def test_uncompute_raises_when_accuracy_missed(monkeypatch):
     import bechain.uncompute as unc
     from bechain.qsp import ChebPoly, solve_phases
