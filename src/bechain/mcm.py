@@ -17,6 +17,7 @@ summed by enumeration or by an O(K·2^p) recursion over failure-count classes.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from itertools import combinations, product
 from typing import Literal, Sequence
@@ -429,7 +430,8 @@ class _ProbeObjective:
     not depend on θ and are computed once, so an evaluation is one batched
     ``eigh``, a binary tree of 2^m-vectors, one contraction and one 2^n norm.
     ``value_and_grad`` (r = ‖R‖₂) and ``frobenius_and_grad`` (f = ‖R‖²_F) add
-    analytic gradients to the same forward pass through one ``_pullback``.
+    analytic gradients to the same forward pass through ``_pullback``, one
+    reverse sweep of the tree and one batched map of its K cotangents to θ.
     """
 
     def __init__(self, encodings: Sequence[BlockEncoding], m: int) -> None:
@@ -439,17 +441,16 @@ class _ProbeObjective:
             raise ValueError("probe supports K in [2, 4] and m in [1, 2]")
         if m > math.ceil(math.log2(k)):
             raise ValueError("probe is for widths at or below the ⌈log₂K⌉ bound")
-        self.k, self.dn = k, 2**n
+        self.k, self.dn, self.dm = k, 2**n, 2**m
         self.target = block_product(encodings)
-        self.generators = _hermitian_basis(2**m)
-        self.basis = self.generators.reshape(len(self.generators), -1)
+        self.basis = _hermitian_basis(self.dm).reshape(4**m - 1, -1)  # rows vec(G_a)
         # product order: bit i of a string's index is the measurement after U_{i+1}
         self.seqs = np.stack([bad_sequence_oracle(encodings, "".join(x)).ravel()
                               for x in product("01", repeat=k - 1)])
 
     def _forward(self, theta: np.ndarray):
         """Eigen-decompositions, unitaries, tree levels, c and the residual matrix."""
-        dm = self.generators.shape[-1]
+        dm = self.dm
         evals, evecs = np.linalg.eigh((theta.reshape(self.k, -1) @ self.basis)
                                       .reshape(self.k, dm, dm))
         mats = (evecs * np.exp(1j * evals)[:, None, :]) @ evecs.conj().swapaxes(1, 2)
@@ -463,27 +464,29 @@ class _ProbeObjective:
         return opnorm(self._forward(theta)[-1])
 
     def _pullback(self, evals, evecs, mats, levels, g: np.ndarray) -> np.ndarray:
-        """Re(Σ_x ∂c_x/∂θ_{j,a}·g_x) for every parameter θ_{j,a}, from one forward pass.
+        """Re(Σ_x ∂c_x/∂θ_{j,a}·g_x) for every parameter θ_{j,a}, by one reverse sweep.
 
-        ∂V_j/∂θ_{j,a} = W·(F ∘ W†G_aW)·W† for H_j = WΛW†, where the divided
-        differences F_pq = i·e^{i(λ_p+λ_q)/2}·sinc((λ_p−λ_q)/2π) of e^{iλ} have
-        no branch on repeated eigenvalues.  The tangents of every V_j run through
-        one tree: before layer j they are zero, at layer j they enter on the
-        x_j = 1 branch.
+        Σ_x g_x·c_x = g·levels[−1]·Q[0], so Q's cotangent is g·levels[−1] in row 0
+        and the last level's is L̄ = g ⊗ Q[0].  Walking the tree backward, layer j
+        splits L̄ into its x_j = 0 and x_j = 1 halves: V̄_j = L̄_hiᵀ·levels[j] and
+        L̄ ← L̄_lo + L̄_hi·V_j.  For H_j = WΛW†, ∂V_j/∂θ_{j,a} = W·(F ∘ W†G_aW)·W†,
+        where the divided differences F_pq = i·e^{i(λ_p+λ_q)/2}·sinc((λ_p−λ_q)/2π)
+        of e^{iλ} have no branch on repeated eigenvalues; so all K cotangents
+        reach θ in one batched step, Z = (Wᵀ·V̄·W̄) ∘ F and ∇_j = Re⟨W̄·Z·Wᵀ, G_a⟩.
         """
         half = (evals[:, :, None] + evals[:, None, :]) / 2
         gap = evals[:, :, None] - evals[:, None, :]
         f = 1j * np.exp(1j * half) * np.sinc(gap / (2 * np.pi))
-        w, wh = evecs[:, None], evecs.conj().swapaxes(1, 2)[:, None]
-        dmats = w @ (f[:, None] * (wh @ self.generators @ w)) @ wh  # (K, 4^m − 1, 2^m, 2^m)
-        tangents = np.zeros((self.k - 1, len(self.generators), 1, dmats.shape[-1]), dtype=complex)
-        for j, (v, level) in enumerate(zip(mats[:-1], levels)):
-            branch = tangents @ v.T
-            branch[j] += level @ dmats[j].swapaxes(1, 2)
-            tangents = np.concatenate([tangents, branch], axis=2)
-        dc = np.concatenate([(tangents @ mats[-1][0]).reshape(-1, len(g)),
-                             dmats[-1][:, 0] @ levels[-1].T])
-        return (dc @ g).real
+        cot = np.zeros_like(mats)  # V̄_1, …, V̄_{K−1}, Q̄
+        cot[-1, 0] = g @ levels[-1]
+        lbar = g[:, None] * mats[-1][0]
+        for j in range(self.k - 2, -1, -1):
+            lo, hi = lbar.reshape(2, -1, lbar.shape[-1])
+            cot[j] = hi.T @ levels[j]
+            lbar = lo + hi @ mats[j]
+        wt = evecs.swapaxes(1, 2)
+        z = (wt @ cot @ evecs.conj()) * f
+        return ((evecs.conj() @ z @ wt).reshape(self.k, -1) @ self.basis.T).real.ravel()
 
     def value_and_grad(self, theta: np.ndarray) -> tuple[float, np.ndarray]:
         """r and ∂r/∂θ = −Re(Σ_x ∂c_x·u†S_x v), a subgradient if R's top singular value repeats."""
@@ -499,6 +502,103 @@ class _ProbeObjective:
         return float(np.vdot(resid, resid).real), -2 * self._pullback(*forward, g)
 
 
+def _bfgs(fun, x: np.ndarray, maxiter: int, gtol: float) -> tuple[np.ndarray, int]:
+    """Minimize f by inverse-Hessian BFGS from H₀ = I: (the last accepted point, its steps).
+
+    ``fun`` maps x to (f, ∇f).  Each step searches along p = −H·∇f for a strong
+    Wolfe point (:func:`_wolfe_step`), starting from scipy's first-step guess
+    α₀ = min(1, 2.02·(f − f_prev)/∇f·p), with f_prev = f + ‖∇f‖/2 before the
+    first step.  An update with sᵀy ≤ 0 would lose positive definiteness and is
+    skipped.  The loop ends when ‖∇f‖∞ ≤ gtol, after ``maxiter`` steps, or when
+    the line search finds no step.
+    """
+    f, g = fun(x)
+    f_prev = f + np.linalg.norm(g) / 2
+    h = np.eye(len(x))
+    steps = 0
+    while steps < maxiter and np.max(np.abs(g)) > gtol:
+        p = -h @ g
+        slope = float(g @ p)
+        if not slope < 0:
+            break
+        found = _wolfe_step(fun, x, p, float(f), slope, min(1.0, 2.02 * (f - f_prev) / slope))
+        if found is None:
+            break
+        alpha, f_new, g_new = found
+        s, y = alpha * p, g_new - g
+        x, f_prev, f, g = x + s, f, f_new, g_new
+        steps += 1
+        sy = s @ y
+        if sy > 0:
+            hy = h @ y
+            half = np.outer((1 + y @ hy / sy) / 2 * s - hy, s) / sy
+            h += half + half.T
+    return x, steps
+
+
+def _wolfe_step(fun, x, p, f0, slope, alpha):
+    """(α, f, ∇f) at a step along p with f ≤ f0 + c₁·α·slope and |∇f·p| ≤ c₂·|slope|, or None.
+
+    c₁ = 1e-4 and c₂ = 0.9.  Nocedal & Wright, Alg. 3.5: double α until a step
+    fails the sufficient decrease, rises above the last step, or meets a
+    non-negative slope; then zoom into that bracket (Alg. 3.6) by
+    :func:`_cubic_min`.  Each phase tries at most ten steps.  A non-finite f
+    fails the sufficient decrease.
+    """
+    c1, c2, tries = 1e-4, 0.9, 10
+    if not alpha > 0:
+        return None
+    lo = (0.0, f0, slope)
+    for _ in range(tries):
+        f, g = fun(x + alpha * p)
+        trial = (alpha, float(f), float(g @ p))
+        if not trial[1] <= f0 + c1 * alpha * slope or (lo[0] > 0 and trial[1] >= lo[1]):
+            hi = trial
+            break
+        if abs(trial[2]) <= -c2 * slope:
+            return alpha, f, g
+        if trial[2] >= 0:
+            lo, hi = trial, lo
+            break
+        lo, alpha = trial, 2 * alpha
+    else:
+        return None
+    for _ in range(tries):
+        alpha = _cubic_min(*lo, *hi)
+        f, g = fun(x + alpha * p)
+        trial = (alpha, float(f), float(g @ p))
+        if not trial[1] <= f0 + c1 * alpha * slope or trial[1] >= lo[1]:
+            hi = trial
+            continue
+        if abs(trial[2]) <= -c2 * slope:
+            return alpha, f, g
+        if trial[2] * (hi[0] - lo[0]) >= 0:
+            hi = lo
+        lo = trial
+    return None
+
+
+def _cubic_min(a: float, fa: float, da: float, b: float, fb: float, db: float) -> float:
+    """The minimizer of the cubic with value and slope (fa, da) at a and (fb, db) at b.
+
+    Safeguarded: it is clipped to lie at least a tenth of |b − a| inside the
+    bracket, and where the cubic has no finite minimizer the midpoint is used.
+    Clipping, not bisection, lets a bracket whose minimum sits near one end
+    shrink tenfold per step.
+    """
+    t = (a + b) / 2
+    d1 = da + db - 3 * (fa - fb) / (a - b)
+    rad = d1 * d1 - da * db
+    if rad >= 0:  # False for NaN
+        d2 = math.copysign(math.sqrt(rad), b - a)
+        den = db - da + 2 * d2
+        if den != 0:
+            cubic = b - (b - a) * (db + d2 - d1) / den
+            t = cubic if math.isfinite(cubic) else t
+    margin = abs(b - a) / 10
+    return min(max(t, min(a, b) + margin), max(a, b) - margin)
+
+
 def lower_bound_probe(
     encodings: Sequence[BlockEncoding],
     m: int,
@@ -509,24 +609,22 @@ def lower_bound_probe(
 
     The unitaries are parameterized as exp(i Σ θ_a G_a) over a traceless
     Hermitian basis (4^m − 1 parameters each).  Each restart draws θ
-    uniformly, runs BFGS on the smooth f = ‖A_[K] − Σ_x c_x S_x‖²_F, then
-    polishes by BFGS on the operator-norm residual r, both on analytic
-    gradients (see ``_ProbeObjective``); the result is the least r after any
-    stage.  Evidence only: a residual bounded away from zero corroborates, but
-    does not prove, the ⌈log₂K⌉ lower bound.  At least one restart is required.
+    uniformly, runs BFGS (:func:`_bfgs`) on the smooth
+    f = ‖A_[K] − Σ_x c_x S_x‖²_F, then polishes by BFGS on the operator-norm
+    residual r, both on analytic gradients (see ``_ProbeObjective``); the
+    result is the least r after any stage.  Evidence only: a residual bounded
+    away from zero corroborates, but does not prove, the ⌈log₂K⌉ lower bound.
+    ``restarts`` must be an integer of at least 1.
     """
-    from scipy.optimize import minimize  # deferred: `import bechain` loads numpy only
-
-    if restarts < 1:
-        raise ValueError(f"restarts must be at least 1, got {restarts}")
+    if not isinstance(restarts, numbers.Integral) or restarts < 1:
+        raise ValueError(f"restarts must be an integer of at least 1, got {restarts!r}")
     objective = _ProbeObjective(encodings, m)
     rng = np.random.default_rng(seed)
     best = np.inf
     for _ in range(restarts):
         x = rng.uniform(-1.5, 1.5, len(encodings) * (4**m - 1))
         for stage, maxiter in ((objective.frobenius_and_grad, 200), (objective.value_and_grad, 80)):
-            x = minimize(stage, x, jac=True, method="BFGS",
-                         options={"maxiter": maxiter, "gtol": 1e-12}).x
+            x = _bfgs(stage, x, maxiter, 1e-12)[0]
             best = min(best, objective(x))  # r, not the stage's own value
         if best <= 1e-10:
             break

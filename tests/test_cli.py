@@ -1,6 +1,8 @@
+import ast
 import csv
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -143,6 +145,7 @@ def test_usage_error_exit_code():
 
 
 COLD_IMPORT_CHILD = """
+import os
 import sys
 import numpy as np
 import bechain, bechain.cli
@@ -155,9 +158,6 @@ from bechain.encoding import dilate_general, hermitian_test_encoding, pad_ancill
 from bechain.linalg import random_hermitian
 from bechain.uncompute import phase_correct_twisted
 
-def scipy_modules():
-    return sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
-
 encs = [random_near_identity(1, 1, 0.1, seed) for seed in range(4)]
 gadget_error_exact(gadget_pmacg(encs, 1), block_product(encs))
 solve_phases(approx_half_sqrt(0.25, 1e-3))
@@ -166,21 +166,45 @@ uncompute_hermitian(hermitian_test_encoding(h, 2, 17), 0.25, 1e-3)
 a = np.array([[0.3, 0.2j], [-0.1, 0.4]])
 uncompute_general(pad_ancillas(dilate_general(a), 2), 0.25, 1e-3)
 phase_correct_twisted(np.array([[0.6, 0.8j], [0.8j, 0.6]]), 0.3, 1e-2)
-assert not scipy_modules(), scipy_modules()
 lower_bound_probe([random_block_encoding(1, 1, seed) for seed in (700, 701)], 1, 1, 5)
-assert "scipy.optimize" in sys.modules, scipy_modules()
+code = bechain.cli.main(["lb-probe", "--K", "3", "--m", "2", "--n", "1", "--trials", "1",
+                         "--restarts", "20", "--seed", "42", "--out", os.devnull])
+assert code == 0, code
+loaded = sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
+assert not loaded, loaded
 """
 
 
-def test_cold_import_loads_scipy_only_on_first_solver_call():
+def test_package_never_loads_scipy():
     # Part I (the ½√x fit, the phase solver, both uncompute pipelines and the
-    # twisted phase correction) and Part II are pure numpy; scipy.optimize
-    # serves the lower-bound probe's BFGS alone, and loads on the probe's first call
+    # twisted phase correction), the gadgets and the lower-bound probe with its
+    # BFGS are pure numpy: a fresh interpreter that runs them all, and an
+    # lb-probe row, loads no scipy module
     proc = subprocess.run(
         [sys.executable, "-c", COLD_IMPORT_CHILD],
         capture_output=True, text=True, env=_child_env(),
     )
     assert proc.returncode == 0, proc.stderr
+
+
+def test_package_source_never_imports_scipy():
+    # static guard: no module under src/bechain imports scipy, and numpy is the
+    # only runtime dependency (scipy serves the tests as an independent oracle)
+    root = Path(__file__).resolve().parents[1]
+    for path in sorted((root / "src" / "bechain").rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module or ""]
+            else:
+                continue
+            assert not any(n.split(".")[0] == "scipy" for n in names), (path.name, names)
+    pyproject = (root / "pyproject.toml").read_text()
+    requirements = {key: re.findall(r'"([A-Za-z0-9_.-]+)', block) for key, block in
+                    re.findall(r"^(dependencies|test) = \[(.*?)\]", pyproject, re.M | re.S)}
+    assert requirements["dependencies"] == ["numpy"]
+    assert "scipy" in requirements["test"]
 
 
 def test_failed_rows_exit_code(tmp_path, capsys):

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.linalg import expm
+from scipy.optimize import minimize, rosen, rosen_der
 from scipy.special import gammaln
 
 from bechain.encoding import BlockEncoding, deviation_profile, random_block_encoding, random_near_identity
@@ -13,6 +14,7 @@ from bechain.linalg import PAULI_X, Tolerance, haar_unitary, is_unitary, kron, o
 from bechain.mcm import (
     MCMCircuit,
     MCMRaw,
+    _bfgs,
     _hermitian_basis,
     _ProbeObjective,
     add_unitary,
@@ -428,9 +430,75 @@ def test_probe_validation():
     encs = random_encodings(2, 720)
     with pytest.raises(ValueError, match="bound"):
         lower_bound_probe(encs, 2, 1, 0)  # m above ceil(log2 2) = 1
-    for restarts in (0, -1):  # no restart would leave the residual at inf
+    for restarts in (0, -1, np.int64(0)):  # no restart would leave the residual at inf
         with pytest.raises(ValueError, match="restarts"):
             lower_bound_probe(encs, 1, restarts, 0)
+    for restarts in (2.5, 1.0, "1", None):  # a count, not a float or a string
+        with pytest.raises(ValueError, match="restarts"):
+            lower_bound_probe(encs, 1, restarts, 0)
+    for restarts in (1, np.int64(1), np.uint8(1)):
+        assert lower_bound_probe(encs, 1, restarts, 0) == lower_bound_probe(encs, 1, 1, 0)
+
+
+def ill_conditioned_quadratic(dim: int = 12, cond: float = 1e3, seed: int = 3):
+    rng = np.random.default_rng(seed)
+    q = np.linalg.qr(rng.standard_normal((dim, dim)))[0]
+    a = (q * np.logspace(0, math.log10(cond), dim)) @ q.T
+    b = rng.standard_normal(dim)
+    return (lambda x: (0.5 * x @ a @ x - b @ x, a @ x - b)), rng.standard_normal(dim)
+
+
+def rosenbrock(x: np.ndarray) -> tuple[float, np.ndarray]:
+    return rosen(x), rosen_der(x)
+
+
+ROSENBROCK_START = np.array([1.3, 0.7, 0.8, 1.9, 1.2, 0.9, 1.1, 0.6, 1.4, 1.0])
+
+
+@pytest.mark.parametrize("fun, x0, tol", [
+    (*ill_conditioned_quadratic(), 1e-8),
+    (rosenbrock, ROSENBROCK_START, 1e-6),
+])
+def test_bfgs_matches_scipy_bfgs(fun, x0, tol):
+    # scipy's BFGS as an independent oracle for the probe's optimizer
+    mine, steps = _bfgs(fun, x0, 500, 1e-8)
+    ref = minimize(fun, x0, jac=True, method="BFGS", options={"maxiter": 500, "gtol": 1e-8})
+    assert ref.success and 0 < steps < 500
+    np.testing.assert_allclose(mine, ref.x, rtol=0, atol=tol)
+
+
+def test_bfgs_returns_a_stationary_start_unchanged():
+    calls = []
+
+    def flat(x):
+        calls.append(x.copy())
+        return float(np.sum(x)), np.full_like(x, 1e-13)
+
+    x, steps = _bfgs(flat, ROSENBROCK_START, 100, 1e-12)
+    assert steps == 0 and len(calls) == 1
+    assert np.array_equal(x, ROSENBROCK_START)
+
+
+@pytest.mark.parametrize("maxiter", [0, 1, 3, 7])
+@pytest.mark.parametrize("fun, x0", [ill_conditioned_quadratic(), (rosenbrock, ROSENBROCK_START)])
+def test_bfgs_descends_within_maxiter(fun, x0, maxiter):
+    x, steps = _bfgs(fun, x0, maxiter, 1e-12)
+    assert steps <= maxiter
+    assert fun(x)[0] <= fun(x0)[0]
+    if maxiter == 0:
+        assert np.array_equal(x, x0)
+
+
+def test_bfgs_stops_on_a_wrong_sign_gradient():
+    # the gradient points uphill: no step meets the sufficient decrease, and the
+    # start, the last accepted point, comes back without an exception
+    def wrong(x):
+        value, grad = rosenbrock(x)
+        return value, -grad
+
+    x, steps = _bfgs(wrong, ROSENBROCK_START, 50, 1e-12)
+    assert steps == 0
+    assert np.array_equal(x, ROSENBROCK_START)
 
 
 @pytest.mark.parametrize("k, m", [(2, 1), (3, 1), (3, 2), (4, 1), (4, 2)])

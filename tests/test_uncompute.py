@@ -206,7 +206,7 @@ def test_pipeline_peak_allocation():
     runs = ((uncompute_hermitian, hermitian_test_encoding(h, 3, 82)), (uncompute_general, va))
     limit = 3.5 * 512**2 * 16
     for pipeline, enc in runs:
-        pipeline(enc, 0.25, 1e-3)  # warm: scipy's import and the cached phases
+        pipeline(enc, 0.25, 1e-3)  # warm: the cached phases
         tracemalloc.start()
         try:
             result, _ = pipeline(enc, 0.25, 1e-3)
