@@ -200,33 +200,44 @@ def dyson_sequence(spec: DysonSpec) -> list[BlockEncoding]:
 # ---------------------------------------------------------------------------
 
 
+def _field(cfg: dict, name: str, convert: Callable, *default):
+    """``convert(cfg[name])``, or the default if one is given and the field is
+    absent; a missing field or a bad value raises a ValueError that names it."""
+    try:
+        return convert(cfg[name]) if name in cfg or not default else default[0]
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ValueError(f"bad or missing field {name!r} ({type(exc).__name__}: {exc})") from None
+
+
 def matrix_from_json(entries: Sequence[Sequence[Sequence[float]]]) -> CMatrix:
     """Parse a matrix given as nested [re, im] pairs."""
-    rows = [[complex(cell[0], cell[1]) for cell in row] for row in entries]
-    return as_cmatrix(np.array(rows))
+    pairs = np.array(entries, dtype=float)
+    if pairs.ndim != 3 or pairs.shape[2] != 2:
+        raise ValueError(f"a matrix is rows of [re, im] pairs, got shape {pairs.shape}")
+    return as_cmatrix(pairs.view(complex)[..., 0])
 
 
 def trotter_spec_from_json(cfg: dict) -> TrotterSpec:
-    terms = tuple(matrix_from_json(m) for m in cfg["terms"])
-    return TrotterSpec(terms, float(cfg["t"]), int(cfg["K"]))
+    terms = _field(cfg, "terms", lambda ms: tuple(map(matrix_from_json, ms)))
+    return TrotterSpec(terms, _field(cfg, "t", float), _field(cfg, "K", int))
 
 
 def _family_callable(cfg: dict) -> tuple[Callable[[float], CMatrix], float]:
-    family = cfg["family"]
+    family = _field(cfg, "family", str)
     if family == "constant":
-        mat = matrix_from_json(cfg["matrix"])
+        mat = _field(cfg, "matrix", matrix_from_json)
         return (lambda t: mat), opnorm(mat)
     if family == "cosine":
-        mat = matrix_from_json(cfg["matrix"])
-        omega = float(cfg.get("omega", 1.0))
-        phase = float(cfg.get("phase", 0.0))
+        mat = _field(cfg, "matrix", matrix_from_json)
+        omega = _field(cfg, "omega", float, 1.0)
+        phase = _field(cfg, "phase", float, 0.0)
         return (lambda t: np.cos(omega * t + phase) * mat), opnorm(mat)
     if family == "two_term_pauli":
-        p1 = _PAULIS[cfg.get("pauli1", "X")]
-        p2 = _PAULIS[cfg.get("pauli2", "Z")]
-        c1 = float(cfg.get("c1", 0.5))
-        c2 = float(cfg.get("c2", 0.5))
-        omega = float(cfg.get("omega", 1.0))
+        p1 = _field(cfg, "pauli1", _PAULIS.__getitem__, PAULI_X)
+        p2 = _field(cfg, "pauli2", _PAULIS.__getitem__, PAULI_Z)
+        c1 = _field(cfg, "c1", float, 0.5)
+        c2 = _field(cfg, "c2", float, 0.5)
+        omega = _field(cfg, "omega", float, 1.0)
 
         def a_of_t(t: float) -> CMatrix:
             return -1j * (c1 * np.cos(omega * t) * p1 + c2 * np.sin(omega * t) * p2)
@@ -236,11 +247,11 @@ def _family_callable(cfg: dict) -> tuple[Callable[[float], CMatrix], float]:
 
 
 def dyson_spec_from_json(cfg: dict) -> DysonSpec:
-    a_of_t, lam_auto = _family_callable(cfg["generator"])
+    a_of_t, lam_auto = _family_callable(_field(cfg, "generator", lambda g: g))
     return DysonSpec(
         a_of_t,
-        float(cfg.get("lam", lam_auto)),
-        float(cfg["T"]),
-        int(cfg["K"]),
-        int(cfg.get("micro_steps", 256)),
+        _field(cfg, "lam", float, lam_auto),
+        _field(cfg, "T", float),
+        _field(cfg, "K", int),
+        _field(cfg, "micro_steps", int, 256),
     )

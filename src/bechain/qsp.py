@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Callable, Optional
 
 import numpy as np
@@ -27,7 +26,6 @@ MAX_DEGREE = 512
 _QSP_SUP_LIMIT = 1.0 - 1e-6
 _LP_SUP_BOUND = 0.98
 _LP_TARGET = 0.95  # an LP fit is kept if its minimax error is at most this fraction of η
-_LP_SKIP_MARGIN = 1e-6
 _FIT_DOMAIN_MARGIN = 0.8
 _MAX_RESTARTS = 10
 _REMEZ_MAX_STEPS = 100
@@ -144,30 +142,6 @@ def _fit_rows(degree: int, lo_fit: float) -> tuple[np.ndarray, np.ndarray]:
     return _cheb_design(x_fit, degree), 0.5 * np.sqrt(x_fit)
 
 
-@lru_cache(maxsize=1)
-def _least_squares_fit(degree: int, lo_fit: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The fit rows (A, f) and their least-squares coefficients, shared by a rung's
-    skip test and its exchange (the last rung's only; the arrays are read-only)."""
-    a_fit, f = _fit_rows(degree, lo_fit)
-    c_ls = np.linalg.lstsq(a_fit, f, rcond=None)[0]
-    for arr in (a_fit, f, c_ls):
-        arr.flags.writeable = False
-    return a_fit, f, c_ls
-
-
-def _lp_must_fail(degree: int, lo_fit: float, eta: float) -> bool:
-    """True if the rung's minimax fit provably misses 0.95η, so it need not be solved.
-
-    The minimax error t* = max_i |(A c − f)_i| over the fit nodes is at least
-    the RMS of A c − f, and so at least the least-squares residual's RMS
-    ‖A c_LS − f‖₂/√N; the bound rows only raise t*.  The 1e-6 margin lies far
-    above the rounding in both errors, so no rung the exchange accepts is skipped.
-    """
-    a_fit, f, c_ls = _least_squares_fit(degree, lo_fit)
-    rms = np.linalg.norm(a_fit @ c_ls - f) / np.sqrt(f.size)
-    return rms - _LP_SKIP_MARGIN > _LP_TARGET * eta
-
-
 def _remez_reference(r: np.ndarray, size: int) -> Optional[np.ndarray]:
     """The largest |r| of each same-sign run of r, trimmed to ``size`` consecutive
     runs that keep the global maximum; None if r has fewer runs."""
@@ -200,7 +174,8 @@ def _half_sqrt_lp(degree: int, lo_fit: float, eta: float) -> Optional[np.ndarray
     runs, the exchange does not settle in 100 steps, or max|A c − f| > 0.95η.
     """
     ncoef = degree // 2 + 1
-    a_fit, f, c = _least_squares_fit(degree, lo_fit)
+    a_fit, f = _fit_rows(degree, lo_fit)
+    c = np.linalg.lstsq(a_fit, f, rcond=None)[0]
     alternation = (-1.0) ** np.arange(ncoef + 1)
     ref = None
     for _ in range(_REMEZ_MAX_STEPS):
@@ -233,8 +208,10 @@ def approx_half_sqrt(delta: float, eta: float) -> ChebPoly:
     """Even Chebyshev polynomial with ‖P − ½√x‖_[δ,1] ≤ η and ‖P‖_[−1,1] < 1.
 
     The fit domain extends to 0.8·δ so callers applying P to matrices whose
-    spectrum dips slightly below δ stay inside the certified region.  Raises
-    if no degree up to 512 meets the target accuracy.
+    spectrum dips slightly below δ stay inside the certified region.  Every
+    rung of the degree ladder runs the exchange, and the first fit that also
+    passes both checks on dense grids wins.  Raises if no degree up to 512
+    meets the target accuracy.
     """
     if not 0.0 < delta <= 0.5:
         raise ValueError("delta must lie in (0, 1/2]")
@@ -245,8 +222,6 @@ def approx_half_sqrt(delta: float, eta: float) -> ChebPoly:
     dense_all = np.linspace(-1.0, 1.0, 20_001)
     best_err = np.inf
     for degree in _degree_ladder():
-        if _lp_must_fail(degree, lo_fit, eta):
-            continue
         c_even = _half_sqrt_lp(degree, lo_fit, eta)
         if c_even is None:
             continue

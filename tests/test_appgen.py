@@ -220,6 +220,38 @@ def test_json_loaders():
     with pytest.raises(ValueError, match="family"):
         dyson_spec_from_json({"generator": {"family": "nope"}, "T": 1.0, "K": 2})
 
+    # malformed files raise a ValueError that names the field, not a bare
+    # KeyError or TypeError
+    cosine = {"family": "cosine", "matrix": [[[0.0, 0.0], [0.0, -0.5]], [[0.0, -0.5], [0.0, 0.0]]]}
+    for bad, field in (
+        ({"T": 1.0, "K": 2}, "generator"),
+        ({"generator": cosine, "K": 2}, "T"),
+        ({"generator": cosine, "T": 1.0}, "K"),
+        ({"generator": cosine, "T": 1.0, "K": "two"}, "K"),
+        ({"generator": {"family": "cosine"}, "T": 1.0, "K": 2}, "matrix"),
+        ({"generator": {"matrix": cosine["matrix"]}, "T": 1.0, "K": 2}, "family"),
+        ({"generator": 3, "T": 1.0, "K": 2}, "family"),
+        ({"generator": {"family": "two_term_pauli", "pauli1": "W"}, "T": 1.0, "K": 2}, "pauli1"),
+        ({"generator": {"family": "two_term_pauli", "pauli2": ["Z"]}, "T": 1.0, "K": 2}, "pauli2"),
+        ({"generator": {**cosine, "omega": None}, "T": 1.0, "K": 2}, "omega"),
+        ({"generator": {"family": "constant", "matrix": [[1]]}, "T": 1.0, "K": 2}, "matrix"),
+        ({"generator": cosine, "T": 1.0, "K": 2, "lam": "big"}, "lam"),
+        ([cosine], "generator"),
+    ):
+        with pytest.raises(ValueError, match=f"'{field}'"):
+            dyson_spec_from_json(bad)
+    for bad, field in (
+        ({"t": 1.0, "K": 2}, "terms"),
+        ({"terms": 3, "t": 1.0, "K": 2}, "terms"),
+        ({"terms": [[[1.0]]], "t": 1.0, "K": 2}, "terms"),
+        ({"terms": [], "t": None, "K": 2}, "t"),
+    ):
+        with pytest.raises(ValueError, match=f"'{field}'"):
+            trotter_spec_from_json(bad)
+    for bad in ([[1]], [[[0.0, 1.0, 2.0]]], [[[0.0, 0.0]], [[0.0]]], "X"):
+        with pytest.raises(ValueError):
+            matrix_from_json(bad)
+
 def test_dyson_nonunitary_fallback_dilation():
     # contractive generator: propagators are subnormalized, not unitary, and
     # take the Hermitian-dilation path with its <1|.|0> selector convention

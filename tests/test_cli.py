@@ -257,3 +257,22 @@ def test_invalid_flag_combination_exit_code(tmp_path, capsys):
         capsys.readouterr()
         assert main(["gen-dyson", "--config", str(cfg_path), f"--{flag}", value]) == 2
         assert f"--{flag}" in capsys.readouterr().err
+    # a malformed config file is a rejected configuration, and the error names the field
+    good = {"generator": {"family": "cosine", "matrix": [
+        [[0.0, 0.0], [0.0, -0.5]], [[0.0, -0.5], [0.0, 0.0]]]}, "T": 1.0, "K": 8}
+    cases = [
+        ({k: v for k, v in good.items() if k != "K"}, "K"),
+        ({k: v for k, v in good.items() if k != "T"}, "T"),
+        ({k: v for k, v in good.items() if k != "generator"}, "generator"),
+        ({**good, "generator": {"family": "cosine"}}, "matrix"),
+        ({**good, "generator": {"matrix": good["generator"]["matrix"]}}, "family"),
+        ({**good, "generator": {"family": "two_term_pauli", "pauli1": "W"}}, "pauli1"),
+        ({**good, "generator": {**good["generator"], "omega": None}}, "omega"),
+        ({**good, "generator": {"family": "constant", "matrix": [[1]]}}, "matrix"),
+        ([good], "generator"),
+    ]
+    for bad, field in cases:
+        cfg_path.write_text(json.dumps(bad))
+        capsys.readouterr()
+        assert main(["gen-dyson", "--config", str(cfg_path)]) == 2
+        assert f"'{field}'" in capsys.readouterr().err, bad

@@ -63,27 +63,6 @@ def test_half_sqrt_degree_scaling():
     assert d3 <= 2 * d2 + 4  # doubling log(1/eta) from 1e-2 to 1e-4
 
 
-@pytest.mark.parametrize("delta", [0.25, 0.1])
-def test_half_sqrt_ladder_skips_only_failing_rungs(delta, monkeypatch):
-    # a rung skipped by the least-squares bound is one whose LP returns None, so
-    # the ladder that solves every LP finds the same polynomial
-    import bechain.qsp as qsp_module
-
-    lo_fit = qsp_module._FIT_DOMAIN_MARGIN * delta
-    for eta in (1e-2, 1e-3, 1e-4):
-        got = approx_half_sqrt(delta, eta)
-        for degree in qsp_module._degree_ladder():
-            if degree > got.degree:
-                break
-            if qsp_module._lp_must_fail(degree, lo_fit, eta):
-                assert qsp_module._half_sqrt_lp(degree, lo_fit, eta) is None, (eta, degree)
-        with monkeypatch.context() as patch:
-            patch.setattr(qsp_module, "_lp_must_fail", lambda *args: False)
-            reference = approx_half_sqrt(delta, eta)
-        assert got.degree == reference.degree
-        assert np.array_equal(got.coeffs, reference.coeffs)
-
-
 def _highs_half_sqrt(degree, lo_fit, eta):
     """Reference: the minimax fit as one HiGHS linear program on the same fit and
     bound rows, with the same acceptance (t* ≤ 0.95η); None on failure."""
@@ -130,7 +109,6 @@ def test_remez_exchange_matches_highs_linear_program(delta, monkeypatch):
 
         got = approx_half_sqrt(delta, eta)
         with monkeypatch.context() as patch:
-            patch.setattr(qsp_module, "_lp_must_fail", lambda *args: False)
             patch.setattr(qsp_module, "_half_sqrt_lp", highs_lp)
             reference = approx_half_sqrt(delta, eta)
         assert got.degree == reference.degree, eta
@@ -147,14 +125,26 @@ def test_remez_exchange_matches_highs_linear_program(delta, monkeypatch):
 
 def test_half_sqrt_degree_is_linear_in_inverse_delta():
     # the paper's O((1/δ)·log(1/ε)) at the pipeline's floors: degree·δ/ln(1/ε)
-    # stays within 1.25 times its largest value at δ = 0.4 down to δ = 0.025
+    # stays within 1.25 times its largest value at δ = 0.4 down to δ = 0.025,
+    # and the degrees are README's table, row by row
     from bechain.uncompute import _spectral_floor
 
+    epsilons = (1e-2, 1e-3, 1e-4)
+    readme_degrees = {
+        0.4: [10, 18, 24],
+        0.2: [18, 30, 44],
+        0.1: [30, 52, 76],
+        0.05: [52, 96, 144],
+        0.025: [88, 176, 272],
+    }
+    degrees = {
+        delta: [approx_half_sqrt(_spectral_floor(delta), eps / 9.0).degree for eps in epsilons]
+        for delta in readme_degrees
+    }
+    assert degrees == readme_degrees
+
     def ratios(delta):
-        return [
-            approx_half_sqrt(_spectral_floor(delta), eps / 9.0).degree * delta / math.log(1 / eps)
-            for eps in (1e-2, 1e-3, 1e-4)
-        ]
+        return [d * delta / math.log(1 / eps) for d, eps in zip(degrees[delta], epsilons)]
 
     widest = max(ratios(0.4))
     for delta in (0.2, 0.1, 0.05, 0.025):
