@@ -10,6 +10,7 @@ needs.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -209,6 +210,14 @@ def _field(cfg: dict, name: str, convert: Callable, *default):
         raise ValueError(f"bad or missing field {name!r} ({type(exc).__name__}: {exc})") from None
 
 
+def _count(value: object) -> int:
+    """An integral count: ``operator.index`` refuses 16.9, where ``int`` would
+    truncate it, and a bool, which it would take for 0 or 1, is refused too."""
+    if isinstance(value, bool):
+        raise TypeError(f"expected an integer, got {value!r}")
+    return operator.index(value)
+
+
 def matrix_from_json(entries: Sequence[Sequence[Sequence[float]]]) -> CMatrix:
     """Parse a matrix given as nested [re, im] pairs."""
     pairs = np.array(entries, dtype=float)
@@ -219,7 +228,7 @@ def matrix_from_json(entries: Sequence[Sequence[Sequence[float]]]) -> CMatrix:
 
 def trotter_spec_from_json(cfg: dict) -> TrotterSpec:
     terms = _field(cfg, "terms", lambda ms: tuple(map(matrix_from_json, ms)))
-    return TrotterSpec(terms, _field(cfg, "t", float), _field(cfg, "K", int))
+    return TrotterSpec(terms, _field(cfg, "t", float), _field(cfg, "K", _count))
 
 
 def _family_callable(cfg: dict) -> tuple[Callable[[float], CMatrix], float]:
@@ -252,6 +261,6 @@ def dyson_spec_from_json(cfg: dict) -> DysonSpec:
         a_of_t,
         _field(cfg, "lam", float, lam_auto),
         _field(cfg, "T", float),
-        _field(cfg, "K", int),
-        _field(cfg, "micro_steps", int, 256),
+        _field(cfg, "K", _count),
+        _field(cfg, "micro_steps", _count, 256),
     )

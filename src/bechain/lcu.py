@@ -6,7 +6,10 @@
 :func:`pair_select` realizes the pipeline's *sub-normalized* weights, which a
 symmetric prep cannot, with distinct single-qubit preps: for (w₁, w₂) with
 |w₁| + |w₂| ≤ 1 there are unit vectors l, r with l_j·r_j = w_j, and the
-sandwich then block-encodes exactly w₁T₁ + w₂T₂.
+sandwich then block-encodes exactly w₁T₁ + w₂T₂.  The pipeline's W is that
+sandwich over two ``select_qubit`` grids; :func:`_w_lcu` takes the same
+coefficients to the grid cells and writes W quadrant by quadrant, so neither
+select is built whole.
 """
 
 from __future__ import annotations
@@ -160,11 +163,25 @@ def _w_lcu(root_grid: _Grid, input_grid: _Grid, a2: int, n: int) -> BlockEncodin
     """sin(π/14)·U from the root branch (weight √8·s) and the input branch (weight s).
 
     Each grid is a ``select_qubit`` grid placing the dilation qubit after the
-    a2 ancillae: the layout is [prep 1][anc a2][dilation qubit][n].
+    a2 ancillae: the layout is [prep 1][anc a2][dilation qubit][n].  W is
+    ``pair_select`` of the two selects, written quadrant by quadrant: quadrant
+    (i, k) is the select of the cell-wise sum Σ_j P_L[i,j]·P_R[j,k]·grid_j
+    (``None`` = 0), the same block sum as :func:`lcu`'s, so neither select is
+    built whole.
     """
     s = SIN_PI_14
-    # the two selects are arguments only, so they are freed before W is validated
-    w = pair_select(
-        math.sqrt(8.0) * s, select_qubit(root_grid, split=a2), s, select_qubit(input_grid, split=a2)
-    )
+    p_l, p_r = _asym_prep_pair(math.sqrt(8.0) * s, s)
+    coef = p_l[:, :, None] * p_r[None, :, :]  # coef[i, j, k] = P_L[i,j]·P_R[j,k], as in lcu
+
+    def cell(i: int, k: int, row: int, col: int) -> Optional[CMatrix]:
+        grids = (root_grid[row][col], input_grid[row][col])
+        terms = [np.multiply(coef[i, j, k], t) for j, t in enumerate(grids) if t is not None]
+        return sum(terms[1:], terms[0]) if terms else None
+
+    half = 2 ** (a2 + n + 1)
+    w = np.empty((2 * half, 2 * half), dtype=complex)
+    for i in range(2):
+        for k in range(2):
+            cells = [[cell(i, k, row, col) for col in range(2)] for row in range(2)]
+            w[i * half : (i + 1) * half, k * half : (k + 1) * half] = select_qubit(cells, split=a2)
     return BlockEncoding(w, 1 + a2, n + 1)

@@ -77,36 +77,28 @@ ROW_PANEL = 64  # rows per panel where a whole-matrix temporary would be full si
 def _unitary_within(arr: CMatrix, atol: float) -> bool:
     """``‖M†M − I‖ ≤ atol`` for a finite square complex128 M: the one unitarity kernel.
 
-    For square M this also decides ``‖MM† − I‖ ≤ atol``: the two deviations
-    have the same spectrum, so one Gram product suffices.  With M = X + iY it
-    is built from real products, Re(M†M) = [X;Y]ᵀ[X;Y] (one symmetric rank-k
-    update) and Im(M†M) = P − Pᵀ with P = XᵀY: half the multiply-adds of the
-    complex product.  Since ‖E‖₂ ≤ ‖E‖_F, the squared Frobenius norm of each
-    part (the skew part in row panels) accepts without forming the complex E;
-    only past it is E built, and the SVD's verdict stands.
+    For square M, ``‖MM† − I‖`` and ``‖M†M − I‖`` agree: the two deviations
+    have the same spectrum, hence the same Frobenius norm too.  Since
+    ‖E‖₂ ≤ ‖E‖_F, the squared Frobenius norm of MM† − I accepts without
+    forming E.  It is summed over the upper block-row panels of the Hermitian
+    MM†: rows r…r+P times columns r… in one complex product (computed
+    conjugated, which keeps the norm), the diagonal block once and the rest
+    twice, so the workspace is one P-row panel.  Only past it is M†M − I
+    built whole, and the SVD's verdict stands.
     """
     dim = arr.shape[0]
-    xy = np.concatenate([arr.real, arr.imag])
-
-    def real_part() -> npt.NDArray[np.float64]:  # Re(M†M) − I
-        gram = xy.T @ xy
-        gram.reshape(-1)[:: dim + 1] -= 1.0
-        return gram
-
-    re = real_part()
-    sq = np.vdot(re, re)
-    del re
-    p = xy[:dim].T @ xy[dim:]
+    sq = 0.0
     for r in range(0, dim, ROW_PANEL):
-        skew = p[r : r + ROW_PANEL] - p[:, r : r + ROW_PANEL].T
-        sq += np.vdot(skew, skew)
+        panel = arr[r : r + ROW_PANEL].conj() @ arr[r:].T  # conj of (MM†)[r:r+P, r:]
+        rows, cols = panel.shape
+        panel.reshape(-1)[:: cols + 1] -= 1.0  # the diagonal of its leading square
+        diag = panel[:, :rows]
+        sq += 2.0 * np.vdot(panel, panel).real - np.vdot(diag, diag).real
     if dim and sq <= atol * atol:
         return True
-    dev = np.empty((dim, dim, 2))  # interleaved (real, imag): viewed as complex below
-    np.subtract(p, p.T, out=dev[..., 1])
-    del p
-    dev[..., 0] = real_part()
-    return opnorm(dev.view(complex)[..., 0]) <= atol
+    dev = arr.conj().T @ arr
+    dev.reshape(-1)[:: dim + 1] -= 1.0
+    return opnorm(dev) <= atol
 
 
 def is_unitary(m: npt.ArrayLike, tol: Tolerance = DEFAULT_TOL) -> bool:

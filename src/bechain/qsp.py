@@ -426,6 +426,7 @@ def _qsvt_product(
     block_dim: int,
     rot_phases: np.ndarray,
     on_query: Optional[Callable[[], None]] = None,
+    overwrite: bool = False,
 ) -> CMatrix:
     """Alternating product R₀ ⋯ U† R_{d−1} U R_d times i^d, R = e^{iφ(2Π−I)}.
 
@@ -436,6 +437,9 @@ def _qsvt_product(
     (d−1)·dim²·b multiply-adds instead of the dense (d−1)·dim³.  This needs
     U·U† = I, which every caller's ``BlockEncoding`` unitary meets to 1e-10.
     ``on_query`` fires d times, once per U/U† application of the circuit.
+    With ``overwrite`` and odd d the product is built in u's own buffer once
+    the b columns c it reads are copied: the result is bit-identical and u is
+    spent (even d builds from the diagonal R_d and leaves u as it is).
     """
     refl, gphase = _reflection_phases(rot_phases)
     d = refl.size - 1
@@ -448,9 +452,11 @@ def _qsvt_product(
     for _ in range(d if on_query is not None else 0):
         on_query()
     c = u[:, :block_dim] if d % 2 else u[:block_dim].conj().T  # c = r† for even d
+    if d % 2 and overwrite:
+        c = c.copy()
     c_dag = c.conj().T
     if d % 2:  # R₀·[U R₁ U†]·R₂ ⋯ [U R_{d−2} U†]·R_{d−1}·U·R_d
-        out = phase_vec(refl[d - 1])[:, None] * u
+        out = np.multiply(phase_vec(refl[d - 1])[:, None], u, out=u if overwrite else None)
         out *= phase_vec(refl[d])
     else:  # R₀·[U† R₁ U]·R₂ ⋯ [U† R_{d−1} U]·R_d
         out = np.diag(phase_vec(refl[d]))

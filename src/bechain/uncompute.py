@@ -148,8 +148,11 @@ def _uncompute(
     del roots
     w_block, work = w_be.block(), w_be.a  # working ancillae, all selected at 0
     calls = 0
-    amplified = _qsvt_product(w_be.u, 2**w_be.n, np.zeros(OAA_ORDER + 1), on_query=tick)
-    del w_be  # W is released before the amplified unitary is validated
+    # T₇ is built in W's own buffer, so the amplified unitary replaces W
+    amplified = _qsvt_product(
+        w_be.u, 2**w_be.n, np.zeros(OAA_ORDER + 1), on_query=tick, overwrite=True
+    )
+    del w_be  # its u is spent
     np.negative(amplified, out=amplified)
     result = BlockEncoding(
         amplified, work + 1, enc.n, bra_sel="0" * work + bra, ket_sel="0" * (work + 1)

@@ -237,6 +237,11 @@ def test_json_loaders():
         ({"generator": {"family": "constant", "matrix": [[1]]}, "T": 1.0, "K": 2}, "matrix"),
         ({"generator": cosine, "T": 1.0, "K": 2, "lam": "big"}, "lam"),
         ([cosine], "generator"),
+        # counts are integers: int() would truncate these to 16 × 40 and to 1
+        ({"generator": cosine, "T": 1.0, "K": 16.9, "micro_steps": 40}, "K"),
+        ({"generator": cosine, "T": 1.0, "K": 16, "micro_steps": 40.7}, "micro_steps"),
+        ({"generator": cosine, "T": 1.0, "K": True}, "K"),
+        ({"generator": cosine, "T": 1.0, "K": 2, "micro_steps": False}, "micro_steps"),
     ):
         with pytest.raises(ValueError, match=f"'{field}'"):
             dyson_spec_from_json(bad)
@@ -245,6 +250,8 @@ def test_json_loaders():
         ({"terms": 3, "t": 1.0, "K": 2}, "terms"),
         ({"terms": [[[1.0]]], "t": 1.0, "K": 2}, "terms"),
         ({"terms": [], "t": None, "K": 2}, "t"),
+        ({"terms": [], "t": 1.0, "K": 2.5}, "K"),
+        ({"terms": [], "t": 1.0, "K": True}, "K"),
     ):
         with pytest.raises(ValueError, match=f"'{field}'"):
             trotter_spec_from_json(bad)

@@ -270,6 +270,9 @@ def test_invalid_flag_combination_exit_code(tmp_path, capsys):
         ({**good, "generator": {**good["generator"], "omega": None}}, "omega"),
         ({**good, "generator": {"family": "constant", "matrix": [[1]]}}, "matrix"),
         ([good], "generator"),
+        ({**good, "K": 16.9, "micro_steps": 40}, "K"),
+        ({**good, "micro_steps": 40.7}, "micro_steps"),
+        ({**good, "K": True}, "K"),
     ]
     for bad, field in cases:
         cfg_path.write_text(json.dumps(bad))

@@ -9,6 +9,7 @@ from bechain.encoding import BlockEncoding, dilate_hermitian, hermitian_test_enc
 from bechain.lcu import (
     SIN_PI_14,
     _asym_prep_pair,
+    _w_lcu,
     lcu,
     lcu_build,
     lcu_i_minus_h2,
@@ -25,6 +26,7 @@ from bechain.linalg import (
     is_unitary,
     opnorm,
     random_hermitian,
+    select_qubit,
 )
 
 
@@ -221,6 +223,24 @@ def test_lcu_w_uh_error_budget():
     err = opnorm(w.block() - SIN_PI_14 * u_h)
     assert err <= math.sqrt(8.0) * SIN_PI_14 * eps9 + 1e-12
     assert err <= (9 * eps9) / 14.0  # the Lemma's eps/14 budget at eps = 9·eps9
+
+
+@pytest.mark.parametrize("a2", [0, 1, 2])
+def test_w_lcu_quadrants_match_pair_select(a2):
+    # W written quadrant by quadrant equals pair_select of the two whole selects;
+    # the grids overlap in some cells and leave others to one branch
+    rng = np.random.default_rng(a2)
+    n = 1
+    u1, u2, u3, u4 = (haar_unitary(2 ** (a2 + n), rng) for _ in range(4))
+    c, s = math.cos(0.3), math.sin(0.3)
+    root = [[u1, None], [None, u2]]
+    inp = [[c * u3, -s * u3], [s * u4, c * u4]]
+    w = _w_lcu(root, inp, a2, n)
+    s14 = SIN_PI_14
+    expected = pair_select(math.sqrt(8.0) * s14, select_qubit(root, split=a2),
+                           s14, select_qubit(inp, split=a2))
+    assert (w.a, w.n) == (1 + a2, n + 1)
+    assert np.array_equal(w.u, expected)
 
 
 def test_lcu_w_uh_register_mismatch():

@@ -262,6 +262,41 @@ def test_is_unitary_matches_svd_definition(seed, dim, regime, atol):
     assert is_unitary(m, Tolerance(atol)) == by_svd == DEVIATION_REGIMES[regime]
 
 
+@pytest.mark.parametrize("dim", [63, 65, 130])
+@pytest.mark.parametrize("regime", sorted(DEVIATION_REGIMES))
+def test_is_unitary_short_last_panel_matches_svd_definition(dim, regime, monkeypatch):
+    # dimensions off the ROW_PANEL grid leave a short last panel of MM† − I
+    assert dim % linalg_module.ROW_PANEL
+    atol = 1e-6
+    rng = np.random.default_rng(dim)
+    d = _deviation_spectrum(regime, dim, atol, rng)
+    w, v = haar_unitary(dim, rng), haar_unitary(dim, rng)
+    m = (w * np.sqrt(1.0 + d)) @ v.conj().T
+    eye = np.eye(dim)
+    by_svd = all(opnorm(e) <= atol for e in (m.conj().T @ m - eye, m @ m.conj().T - eye))
+    svd_calls = []
+    counted = linalg_module.opnorm
+    monkeypatch.setattr(linalg_module, "opnorm", lambda e: svd_calls.append(1) or counted(e))
+    assert is_unitary(m, Tolerance(atol)) == by_svd == DEVIATION_REGIMES[regime]
+    assert len(svd_calls) == (regime != "frobenius")
+
+
+@pytest.mark.parametrize("dim", [1, 2, 63, 64, 65, 130])
+def test_unitarity_frobenius_sum_covers_every_panel(dim, monkeypatch):
+    # the panelled sum is ‖MM† − I‖_F² = ‖M†M − I‖_F²: a tolerance a hair above
+    # that norm accepts without the SVD, one a hair below needs it
+    rng = np.random.default_rng(dim)
+    m = (rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))) / np.sqrt(dim)
+    frobenius = np.linalg.norm(m.conj().T @ m - np.eye(dim))
+    svd_calls = []
+    counted = linalg_module.opnorm
+    monkeypatch.setattr(linalg_module, "opnorm", lambda e: svd_calls.append(1) or counted(e))
+    assert linalg_module._unitary_within(m, frobenius * (1.0 + 1e-9))
+    assert not svd_calls
+    linalg_module._unitary_within(m, frobenius * (1.0 - 1e-9))
+    assert len(svd_calls) == 1
+
+
 def _captured_unitarity_deviation(m, monkeypatch):
     """The deviation matrix the unitarity kernel hands to the SVD, and its verdict."""
     seen, svd = [], linalg_module.opnorm
@@ -278,7 +313,7 @@ def _captured_unitarity_deviation(m, monkeypatch):
 
 @pytest.mark.parametrize("dim", [1, 2, 3, 7, 64, 512])
 def test_is_unitary_real_gram_matches_complex_gram(dim, monkeypatch):
-    # Re(M†M) = [X;Y]ᵀ[X;Y] and Im(M†M) = XᵀY − YᵀX, against the complex product
+    # past a Frobenius reject the SVD gets M†M − I itself, against the reference product
     rng = np.random.default_rng(dim)
     for m in (rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim)),
               haar_unitary(dim, rng) * np.sqrt(rng.uniform(0.5, 1.5, dim))):

@@ -531,6 +531,53 @@ def test_qsvt_product_row_panels_bit_identical(dim_log, block_log, degree, seed)
     assert got.tobytes() == expected.tobytes()
 
 
+@settings(deadline=None, max_examples=40)
+@given(
+    dim_log=st.integers(1, 8),
+    block_log=st.integers(0, 6),
+    degree=st.integers(0, 12),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_qsvt_product_overwrite_bit_identical(dim_log, block_log, degree, seed):
+    # building the product in u's buffer changes no bit; an even degree leaves u as it is
+    rng = np.random.default_rng(seed)
+    u = haar_unitary(2**dim_log, rng)
+    block_dim = 2 ** min(block_log, dim_log - 1)
+    phases = rng.uniform(-np.pi, np.pi, degree + 1)
+    expected = _qsvt_product(u, block_dim, phases)
+    spent = u.copy()
+    got = _qsvt_product(spent, block_dim, phases, overwrite=True)
+    assert got.tobytes() == expected.tobytes()
+    assert (got is spent) == (degree % 2 == 1)
+    if degree % 2 == 0:
+        assert spent.tobytes() == u.tobytes()
+
+
+def test_qsvt_product_overwrite_t7_at_512():
+    # the pipeline's amplification: T₇ with all-zero phases, b = 8 columns of 512
+    u = haar_unitary(512, np.random.default_rng(7))
+    expected = _qsvt_product(u, 8, np.zeros(8))
+    spent = u.copy()
+    got = _qsvt_product(spent, 8, np.zeros(8), overwrite=True)
+    assert got is spent
+    assert got.tobytes() == expected.tobytes()
+
+
+@pytest.mark.parametrize("sequence", ["T7", "T6", "odd", "even"])
+def test_qsvt_apply_leaves_input_untouched(sequence):
+    # zero phases take the single-product path, the others the ±Φ average
+    phi = {
+        "T7": lambda: chebyshev_phases(7),
+        "T6": lambda: chebyshev_phases(6),
+        "odd": lambda: solve_phases(ChebPoly(np.array([0.0, 0.6, 0.0, 0.2]), "odd", 3)),
+        "even": lambda: solve_phases(approx_half_sqrt(0.25, 1e-2)),
+    }[sequence]()
+    be = hermitian_test_encoding(random_hermitian(4, 0.8, np.random.default_rng(5)), 2, 6)
+    before = be.u.copy()
+    qsvt_apply(phi, be)
+    assert be.u.tobytes() == before.tobytes()
+
+
 def test_qsvt_parity_mismatch():
     with pytest.raises(ValueError, match=r"parity"):
         PhaseFactors(np.zeros(3), "odd")

@@ -215,3 +215,27 @@ def test_pipeline_peak_allocation():
             tracemalloc.stop()
         assert result.dim == 512
         assert peak <= limit, (pipeline.__name__, peak)
+
+
+def test_pipeline_holds_w_and_one_panel():
+    # n = 2, a = 3: T₇ is built in W's buffer and the unitarity checks work in
+    # row panels, so a pipeline holds W plus under one more 512 × 512 matrix
+    import tracemalloc
+
+    rng = np.random.default_rng(81)
+    h = random_hermitian(4, 0.7, rng)
+    mat = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
+    mat = 0.7 * mat / opnorm(mat)
+    va = scramble_ancillas(pad_ancillas(normalize_selectors(dilate_general(mat)), 3), 83)
+    runs = ((uncompute_hermitian, hermitian_test_encoding(h, 3, 82)), (uncompute_general, va))
+    limit = 2 * 512**2 * 16
+    for pipeline, enc in runs:
+        pipeline(enc, 0.25, 1e-3)  # warm: the cached phases
+        tracemalloc.start()
+        try:
+            result, _ = pipeline(enc, 0.25, 1e-3)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert result.dim == 512
+        assert peak <= limit, (pipeline.__name__, peak)
