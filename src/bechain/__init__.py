@@ -22,7 +22,7 @@ from .encoding import (
     random_near_identity,
     verify_encoding,
 )
-from .lcu import SIN_PI_14, lcu, lcu_build, lcu_i_minus_h2, lcu_w_uh
+from .lcu import SIN_PI_14, lcu, lcu_i_minus_h2, lcu_w_uh
 from .qsp import (
     ChebPoly,
     PhaseFactors,

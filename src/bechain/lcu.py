@@ -1,15 +1,15 @@
-"""Linear combinations of unitaries: one block-form kernel, three callers.
+"""Linear combinations of unitaries: one block-form kernel.
 
-:func:`lcu` sums the PREP·SELECT·PREP sandwich block by block.
-:func:`lcu_build` is its symmetric form (P_R = P_L†, normalized weights);
-``qsp.qsvt_apply`` averages the ±Φ sequences with a Hadamard prep; and
-:func:`pair_select` realizes the pipeline's *sub-normalized* weights, which a
-symmetric prep cannot, with distinct single-qubit preps: for (w₁, w₂) with
-|w₁| + |w₂| ≤ 1 there are unit vectors l, r with l_j·r_j = w_j, and the
-sandwich then block-encodes exactly w₁T₁ + w₂T₂.  The pipeline's W is that
-sandwich over two ``select_qubit`` grids; :func:`_w_lcu` takes the same
-coefficients to the grid cells and writes W quadrant by quadrant, so neither
-select is built whole.
+:func:`lcu` sums the PREP·SELECT·PREP sandwich block by block, skipping
+``None`` (zero) terms.  ``qsp.qsvt_apply`` averages the ±Φ sequences with a
+Hadamard prep, and :func:`pair_select` realizes the pipeline's
+*sub-normalized* weights, which a symmetric prep cannot, with distinct
+single-qubit preps: for (w₁, w₂) with |w₁| + |w₂| ≤ 1 there are unit vectors
+l, r with l_j·r_j = w_j, and the sandwich then block-encodes exactly
+w₁T₁ + w₂T₂.  The pipeline's W is that sandwich over two ``select_qubit``
+grids.  The selects are linear in their cells, so :func:`_w_lcu` writes W
+cell by cell, each cell being :func:`lcu` of the two grids' cells, and
+neither select is built whole.
 """
 
 from __future__ import annotations
@@ -24,12 +24,10 @@ from .encoding import BlockEncoding, normalize_selectors
 from .linalg import (
     CMatrix,
     DEFAULT_TOL,
+    _write_cell,
     as_cmatrix,
     dagger,
     is_hermitian,
-    is_unitary,
-    householder_column,
-    select_qubit,
 )
 
 SIN_PI_14 = float(np.sin(np.pi / 14.0))
@@ -40,62 +38,43 @@ if not math.sqrt(8.0) * SIN_PI_14 / 9.0 <= 1.0 / 14.0:
     raise AssertionError("LCU coefficient identity sqrt(8)·sin(pi/14)/9 <= 1/14 failed")
 
 
-def lcu(prep_l: npt.ArrayLike, prep_r: npt.ArrayLike, terms: Sequence[npt.ArrayLike]) -> CMatrix:
+def lcu(
+    prep_l: npt.ArrayLike, prep_r: npt.ArrayLike, terms: Sequence[Optional[npt.ArrayLike]]
+) -> CMatrix:
     """(P_L ⊗ I)·(Σ_j |j⟩⟨j| ⊗ T_j)·(P_R ⊗ I), prep register most significant.
 
     Block (i, k) is Σ_j P_L[i,j]·P_R[j,k]·T_j, written straight into the
-    output through one block-size scratch array: O(#terms³·dim²) work.
+    output through one block-size scratch array: O(#terms³·dim²) work.  A
+    ``None`` term is zero and is skipped.
     """
     p_l, p_r = as_cmatrix(prep_l), as_cmatrix(prep_r)
-    terms = [as_cmatrix(t) for t in terms]
     m = len(terms)
     if m == 0 or p_l.shape != (m, m) or p_r.shape != (m, m):
         raise ValueError(f"prep shapes {p_l.shape}, {p_r.shape} do not match {m} terms")
-    dim = terms[0].shape[0]
-    if any(t.shape != (dim, dim) for t in terms):
+    given = [(j, as_cmatrix(t)) for j, t in enumerate(terms) if t is not None]
+    if not given:
+        raise ValueError("every term is None")
+    dim = given[0][1].shape[0]
+    if any(t.shape != (dim, dim) for _, t in given):
         raise ValueError("terms must be square matrices of one size")
     coef = p_l[:, :, None] * p_r[None, :, :]  # coef[i, j, k] = P_L[i,j]·P_R[j,k]
     out = np.empty((m * dim, m * dim), dtype=complex)
     scratch = np.empty((dim, dim), dtype=complex)
+    (j0, t0), rest = given[0], given[1:]
     for i in range(m):
         for k in range(m):
             blk = out[i * dim : (i + 1) * dim, k * dim : (k + 1) * dim]
-            np.multiply(coef[i, 0, k], terms[0], out=blk)
-            for j in range(1, m):
-                blk += np.multiply(coef[i, j, k], terms[j], out=scratch)
+            np.multiply(coef[i, j0, k], t0, out=blk)
+            for j, t in rest:
+                blk += np.multiply(coef[i, j, k], t, out=scratch)
     return out
-
-
-def lcu_build(coeffs: Sequence[complex], terms: Sequence[npt.ArrayLike]) -> BlockEncoding:
-    """(Σ|c_j|, ⌈log₂ #terms⌉, 0)-encoding of Σ c_j T_j via PREP/SELECT/PREP†.
-
-    Coefficient phases are absorbed into the SELECT terms so PREP stays real
-    non-negative; PREP is a Householder completion of the amplitude column,
-    and the SELECT slots past the last term hold the identity.
-    """
-    terms = [as_cmatrix(t) for t in terms]
-    if not terms:
-        raise ValueError("empty term list")
-    if len(coeffs) != len(terms):
-        raise ValueError("coefficient/term count mismatch")
-    if not all(is_unitary(t, DEFAULT_TOL) for t in terms):
-        raise ValueError("all LCU terms must be unitary within 1e-10")
-    lam = sum(abs(c) for c in coeffs)
-    if lam <= 0:
-        raise ValueError("coefficients must not all vanish")
-    prep_bits = (len(terms) - 1).bit_length()
-    amps = np.zeros(2**prep_bits, dtype=complex)
-    amps[: len(coeffs)] = np.sqrt(np.abs(coeffs) / lam)
-    prep = householder_column(amps)
-    term_dim = terms[0].shape[0]
-    phased = [np.exp(1j * np.angle(c)) * t for c, t in zip(coeffs, terms)]
-    phased += [np.eye(term_dim)] * (amps.size - len(terms))
-    w = lcu(prep, dagger(prep), phased)
-    return BlockEncoding(w, prep_bits, int(np.log2(term_dim)), alpha=lam)
 
 
 def _asym_prep_pair(w1: float, w2: float) -> tuple[CMatrix, CMatrix]:
     """Single-qubit (P_L, P_R) with ⟨0|P_L|j⟩⟨j|P_R|0⟩ = (w1, w2), signed weights."""
+    for name, w in (("w1", w1), ("w2", w2)):
+        if not math.isfinite(w):
+            raise ValueError(f"{name} = {w} is not finite")
     if abs(w1) + abs(w2) > 1.0 + 1e-12:
         raise ValueError("|w1| + |w2| must not exceed 1")
     # ⟨0|P_L = (cos α, sin α) and P_R|0⟩ = (cos β, sin β) with cos(α ∓ β) = w1 ± w2
@@ -164,24 +143,17 @@ def _w_lcu(root_grid: _Grid, input_grid: _Grid, a2: int, n: int) -> BlockEncodin
 
     Each grid is a ``select_qubit`` grid placing the dilation qubit after the
     a2 ancillae: the layout is [prep 1][anc a2][dilation qubit][n].  W is
-    ``pair_select`` of the two selects, written quadrant by quadrant: quadrant
-    (i, k) is the select of the cell-wise sum Σ_j P_L[i,j]·P_R[j,k]·grid_j
-    (``None`` = 0), the same block sum as :func:`lcu`'s, so neither select is
+    ``pair_select`` of the two selects.  The selects are linear in their
+    cells, so W's cell (r, c) on the dilation qubit is :func:`lcu` of the two
+    grids' cells (r, c), written into W as it is built; neither select is
     built whole.
     """
     s = SIN_PI_14
     p_l, p_r = _asym_prep_pair(math.sqrt(8.0) * s, s)
-    coef = p_l[:, :, None] * p_r[None, :, :]  # coef[i, j, k] = P_L[i,j]·P_R[j,k], as in lcu
-
-    def cell(i: int, k: int, row: int, col: int) -> Optional[CMatrix]:
-        grids = (root_grid[row][col], input_grid[row][col])
-        terms = [np.multiply(coef[i, j, k], t) for j, t in enumerate(grids) if t is not None]
-        return sum(terms[1:], terms[0]) if terms else None
-
-    half = 2 ** (a2 + n + 1)
-    w = np.empty((2 * half, 2 * half), dtype=complex)
-    for i in range(2):
-        for k in range(2):
-            cells = [[cell(i, k, row, col) for col in range(2)] for row in range(2)]
-            w[i * half : (i + 1) * half, k * half : (k + 1) * half] = select_qubit(cells, split=a2)
+    w = np.zeros((2 ** (a2 + n + 2),) * 2, dtype=complex)
+    for row in range(2):
+        for col in range(2):
+            pair = (root_grid[row][col], input_grid[row][col])
+            if any(t is not None for t in pair):
+                _write_cell(w, 1 + a2, row, col, lcu(p_l, p_r, pair))
     return BlockEncoding(w, 1 + a2, n + 1)

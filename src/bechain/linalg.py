@@ -233,39 +233,21 @@ def select_qubit(blocks: Sequence[Sequence[Optional[npt.ArrayLike]]], split: int
     if not 0 <= split <= k:
         raise ValueError(f"split {split} outside 0..{k}")
     out = np.zeros((2 * dim, 2 * dim), dtype=complex)
-    hi, lo = 2**split, dim >> split
-    # row and column index: (first ``split`` block qubits, new qubit, rest of the block)
-    grid = out.reshape(hi, 2, lo, hi, 2, lo)
     for i, row in enumerate(cells):
         for j, b in enumerate(row):
             if b is not None:
-                grid[:, i, :, :, j, :] = b.reshape(hi, lo, hi, lo)
+                _write_cell(out, split, i, j, b)
     return out
 
 
-def householder_column(v: npt.ArrayLike) -> CMatrix:
-    """Unitary (phase times Householder reflection) whose first column is v.
+def _write_cell(out: CMatrix, split: int, i: int, j: int, block: CMatrix) -> None:
+    """Write ``block`` as the |i⟩⟨j| cell of one qubit at position ``split`` of ``out``.
 
-    The reflection maps e₀ onto the phase-rotated copy of v whose first
-    component is real non-negative; the factored-out phase restores v itself,
-    which keeps the construction exact for complex vectors.
+    Rows and columns of ``out`` are viewed as (first ``split`` qubits, the
+    qubit, the rest), so the cell is written through one 6-axis view.
     """
-    vec = np.asarray(v, dtype=complex).reshape(-1)
-    norm = np.linalg.norm(vec)
-    if abs(norm - 1.0) > 1e-12:
-        raise ValueError("column must be a unit vector")
-    dim = vec.size
-    phase = vec[0] / abs(vec[0]) if abs(vec[0]) > 1e-14 else 1.0
-    tgt = np.conj(phase) * vec
-    e0 = np.zeros(dim, dtype=complex)
-    e0[0] = 1.0
-    w = e0 - tgt
-    wn = np.linalg.norm(w)
-    if wn < 1e-14:
-        return phase * np.eye(dim, dtype=complex)
-    w /= wn
-    refl = np.eye(dim, dtype=complex) - 2.0 * np.outer(w, w.conj())
-    return phase * refl
+    hi, lo = 2**split, out.shape[0] // 2 >> split
+    out.reshape(hi, 2, lo, hi, 2, lo)[:, i, :, :, j, :] = block.reshape(hi, lo, hi, lo)
 
 
 def random_hermitian(dim: int, norm: float, rng: np.random.Generator) -> CMatrix:

@@ -11,9 +11,8 @@ one extra ancilla, so block-level results are convention independent.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Optional
 
 import numpy as np
 from numpy.polynomial import chebyshev as np_cheb
@@ -83,25 +82,6 @@ class PhaseFactors:
     @property
     def degree(self) -> int:
         return self.phases.size - 1
-
-    def to_json(self) -> str:
-        return json.dumps(
-            {
-                "degree": self.degree,
-                "parity": self.parity,
-                "phases": list(self.phases),
-                "residual": self.residual,
-            }
-        )
-
-    @staticmethod
-    def from_json(text: str) -> "PhaseFactors":
-        d = json.loads(text)
-        return PhaseFactors(
-            np.asarray(d["phases"], dtype=float),
-            d["parity"],
-            float(d["residual"]),
-        )
 
 
 def chebyshev_phases(degree: int, negate: bool = False) -> PhaseFactors:
@@ -425,7 +405,6 @@ def _qsvt_product(
     u: CMatrix,
     block_dim: int,
     rot_phases: np.ndarray,
-    on_query: Optional[Callable[[], None]] = None,
     overwrite: bool = False,
 ) -> CMatrix:
     """Alternating product R₀ ⋯ U† R_{d−1} U R_d times i^d, R = e^{iφ(2Π−I)}.
@@ -436,7 +415,6 @@ def _qsvt_product(
     and each U†·R·U the same with r†r, r = U[:b, :] (Gilyén–Su–Low–Wiebe):
     (d−1)·dim²·b multiply-adds instead of the dense (d−1)·dim³.  This needs
     U·U† = I, which every caller's ``BlockEncoding`` unitary meets to 1e-10.
-    ``on_query`` fires d times, once per U/U† application of the circuit.
     With ``overwrite`` and odd d the product is built in u's own buffer once
     the b columns c it reads are copied: the result is bit-identical and u is
     spent (even d builds from the diagonal R_d and leaves u as it is).
@@ -449,8 +427,6 @@ def _qsvt_product(
         v[:block_dim] = np.exp(1j * phi)
         return v
 
-    for _ in range(d if on_query is not None else 0):
-        on_query()
     c = u[:, :block_dim] if d % 2 else u[:block_dim].conj().T  # c = r† for even d
     if d % 2 and overwrite:
         c = c.copy()
@@ -471,9 +447,7 @@ def _qsvt_product(
     return np.multiply(gphase, out, out=out)
 
 
-def qsvt_apply(
-    phi: PhaseFactors, be: BlockEncoding, on_query: Optional[Callable[[], None]] = None
-) -> BlockEncoding:
+def qsvt_apply(phi: PhaseFactors, be: BlockEncoding) -> BlockEncoding:
     """Apply the solved polynomial to the singular values of be's block.
 
     Returns an encoding with one extra ancilla whose block is the real target
@@ -481,18 +455,17 @@ def qsvt_apply(
     parity, V·P(Σ)·V† for even — which for Hermitian blocks is the spectral
     application P(M).  The real part is the ±Φ average ½(U_Φ + U_{−Φ}): the
     LCU of the two sequences (each built from rank-2^n pair updates) with a
-    Hadamard prep on the new qubit.  ``on_query`` fires once per U/U†
-    application of the circuit (the all-zero phase vector needs one only).
+    Hadamard prep on the new qubit.
     """
     d = phi.degree
     if phi.parity != ("even" if d % 2 == 0 else "odd"):
         raise ValueError("phase parity does not match the sequence length")
     enc = normalize_selectors(be)
     block_dim = 2**enc.n
-    seq_plus = _qsvt_product(enc.u, block_dim, phi.phases, on_query)
+    seq_plus = _qsvt_product(enc.u, block_dim, phi.phases)
     if np.all(np.abs(phi.phases) < 1e-15):
         u_out = kron(np.eye(2), seq_plus)
     else:
-        seq_minus = _qsvt_product(enc.u, block_dim, -phi.phases, on_query)
+        seq_minus = _qsvt_product(enc.u, block_dim, -phi.phases)
         u_out = lcu(HADAMARD, HADAMARD, (seq_plus, seq_minus))
     return BlockEncoding(u_out, enc.a + 1, enc.n)

@@ -15,11 +15,10 @@ Pipeline (input M = H Hermitian, or M = A general, ‖M‖ ≤ 1−δ):
    single-ancilla encoding of M (the dilation qubit is the one ancilla left).
 
 Both cases run through one core, :func:`_uncompute`; the Hermitian case takes
-one square root where the general case takes two.  Query counting is
-oracle-style: every application of a W/W† factor in the top-level
-amplification product adds the number of input-encoding uses embedded in
-that factor, so the counter equals the number of U/U† applications in the
-fully unrolled circuit.
+one square root where the general case takes two.  Queries count the
+input-encoding applications of the fully unrolled circuit.  A degree-d QSVT
+uses its encoding exactly d times (Gilyén–Su–Low–Wiebe), so the count
+follows from the degrees alone.
 """
 
 from __future__ import annotations
@@ -135,23 +134,12 @@ def _uncompute(
         raise ValueError("‖M‖ exceeds 1 − delta")
 
     poly, phases = _half_sqrt_solution(_spectral_floor(delta), eps / 9.0)
-    calls = 0
-
-    def tick() -> None:
-        nonlocal calls
-        calls += 1
-
-    roots = [qsvt_apply(phases, _i_minus_gram(v, enc.a, enc.n), on_query=tick) for v in grams]
-    # two V uses per (I − M†M)/2 application, and each V once bare inside W
-    queries_per_w = 2 * calls + len(grams)
+    roots = [qsvt_apply(phases, _i_minus_gram(v, enc.a, enc.n)) for v in grams]
     w_be = build_w(roots)
     del roots
     w_block, work = w_be.block(), w_be.a  # working ancillae, all selected at 0
-    calls = 0
     # T₇ is built in W's own buffer, so the amplified unitary replaces W
-    amplified = _qsvt_product(
-        w_be.u, 2**w_be.n, np.zeros(OAA_ORDER + 1), on_query=tick, overwrite=True
-    )
+    amplified = _qsvt_product(w_be.u, 2**w_be.n, np.zeros(OAA_ORDER + 1), overwrite=True)
     del w_be  # its u is spent
     np.negative(amplified, out=amplified)
     result = BlockEncoding(
@@ -165,7 +153,9 @@ def _uncompute(
         eps_requested=eps,
         eps_measured=eps_measured,
         delta=delta,
-        queries_vh=queries_per_w * calls,
+        # the ±Φ QSVT applies (I − M†M)/2 2d times, each using V twice, and W
+        # uses each V once more bare; T₇ applies W OAA_ORDER times
+        queries_vh=OAA_ORDER * len(grams) * (4 * poly.degree + 1),
         ancillae_peak=result.a,
         qsvt_degree=poly.degree,
         eps_w=opnorm(w_block - SIN_PI_14 * u_target),

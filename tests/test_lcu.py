@@ -11,7 +11,6 @@ from bechain.lcu import (
     _asym_prep_pair,
     _w_lcu,
     lcu,
-    lcu_build,
     lcu_i_minus_h2,
     lcu_w_uh,
     pair_select,
@@ -19,10 +18,8 @@ from bechain.lcu import (
 from bechain.linalg import (
     HADAMARD,
     PAULI_X,
-    PAULI_Z,
     Tolerance,
     haar_unitary,
-    householder_column,
     is_unitary,
     opnorm,
     random_hermitian,
@@ -33,50 +30,6 @@ from bechain.linalg import (
 def test_coefficient_identity():
     # the Lemma's error chain: X-branch weight times eps/9 stays within eps/14
     assert math.sqrt(8.0) * SIN_PI_14 / 9.0 <= 1.0 / 14.0
-
-
-def test_lcu_build_single_term():
-    u = haar_unitary(4, np.random.default_rng(0))
-    be = lcu_build((1.0,), (u,))
-    np.testing.assert_allclose(be.block(), u, atol=1e-12)
-
-
-def test_lcu_build_projector():
-    be = lcu_build((0.5, 0.5), (np.eye(2), PAULI_Z))
-    np.testing.assert_allclose(be.alpha * be.block(), np.diag([1.0, 0.0]), atol=1e-12)
-
-
-def test_lcu_build_difference():
-    u = haar_unitary(4, np.random.default_rng(1))
-    be = lcu_build((0.5, -0.5), (np.eye(4), u @ u))
-    np.testing.assert_allclose(be.alpha * be.block(), (np.eye(4) - u @ u) / 2, atol=1e-12)
-
-
-def test_lcu_build_random_sums():
-    rng = np.random.default_rng(2)
-    for trial in range(5):
-        nterms = int(rng.integers(2, 5))
-        dim = 2 ** int(rng.integers(1, 4))
-        coeffs = tuple(rng.standard_normal() + 1j * rng.standard_normal() for _ in range(nterms))
-        terms = tuple(haar_unitary(dim, rng) for _ in range(nterms))
-        be = lcu_build(coeffs, terms)
-        assert be.a == (nterms - 1).bit_length()
-        assert is_unitary(be.u, Tolerance(1e-10))
-        direct = sum(c * t for c, t in zip(coeffs, terms))
-        np.testing.assert_allclose(be.alpha * be.block(), direct, atol=1e-10)
-
-
-def test_lcu_spec_validation():
-    with pytest.raises(ValueError, match="empty"):
-        lcu_build((), ())
-    with pytest.raises(ValueError, match="unitary"):
-        lcu_build((1.0,), (np.diag([1.0, 0.5]),))
-    with pytest.raises(ValueError, match="mismatch"):
-        lcu_build((1.0,), (np.eye(2), np.eye(2)))
-    with pytest.raises(ValueError, match="one size"):
-        lcu_build((1.0, 1.0), (np.eye(2), np.eye(4)))
-    with pytest.raises(ValueError, match="vanish"):
-        lcu_build((0.0, 0.0), (np.eye(2), PAULI_Z))
 
 
 def _dense_lcu(p_l, p_r, terms):
@@ -91,7 +44,7 @@ def _dense_lcu(p_l, p_r, terms):
 
 @settings(deadline=None, max_examples=60)
 @given(
-    prep=st.sampled_from(["hadamard", "asym", "householder"]),
+    prep=st.sampled_from(["hadamard", "asym", "haar"]),
     nterms=st.integers(2, 4),
     dim=st.integers(2, 16),
     seed=st.integers(0, 2**32 - 1),
@@ -106,8 +59,7 @@ def test_lcu_matches_dense_sandwich(prep, nterms, dim, seed):
         w1 = rng.uniform(-1.0, 1.0)
         p_l, p_r = _asym_prep_pair(w1, rng.uniform(-1.0, 1.0) * (1.0 - abs(w1)))
     else:
-        v = rng.standard_normal(nterms) + 1j * rng.standard_normal(nterms)
-        p_l = householder_column(v / np.linalg.norm(v))
+        p_l = haar_unitary(nterms, rng)
         p_r = p_l.conj().T
     terms = [haar_unitary(dim, rng) for _ in range(nterms)]
     np.testing.assert_allclose(lcu(p_l, p_r, terms), _dense_lcu(p_l, p_r, terms), atol=1e-13)
@@ -125,6 +77,20 @@ def test_lcu_validation():
         lcu(HADAMARD, HADAMARD, (eye, np.eye(4)))
     with pytest.raises(ValueError, match="one size"):
         lcu(HADAMARD, HADAMARD, (np.ones((2, 3)), np.ones((2, 3))))
+    with pytest.raises(ValueError, match="every term is None"):
+        lcu(HADAMARD, HADAMARD, (None, None))
+
+
+@pytest.mark.parametrize("zero_at", [0, 1, 2])
+def test_lcu_none_term_equals_zero_term(zero_at):
+    rng = np.random.default_rng(7 + zero_at)
+    p_l, p_r = haar_unitary(3, rng), haar_unitary(3, rng)
+    terms = [haar_unitary(4, rng) for _ in range(3)]
+    with_zero = list(terms)
+    with_zero[zero_at] = np.zeros((4, 4))
+    with_none = list(terms)
+    with_none[zero_at] = None
+    assert np.array_equal(lcu(p_l, p_r, with_none), lcu(p_l, p_r, with_zero))
 
 
 def test_pair_select_weights():
@@ -153,6 +119,22 @@ def test_asym_prep_pair_domain(w1, frac):
     for p in (p_l, p_r):
         np.testing.assert_allclose(p @ p.conj().T, np.eye(2), atol=1e-12)
     np.testing.assert_allclose(p_l[0, :] * p_r[:, 0], [w1, w2], atol=1e-12)
+
+
+@pytest.mark.parametrize(
+    "w1, w2, match",
+    [
+        (math.nan, 0.2, "w1 = nan is not finite"),
+        (0.2, math.nan, "w2 = nan is not finite"),
+        (math.inf, 0.0, "w1 = inf is not finite"),
+        (0.0, -math.inf, "w2 = -inf is not finite"),
+        (0.6, -0.5, "must not exceed 1"),
+    ],
+)
+def test_pair_select_rejects_bad_weights(w1, w2, match):
+    eye = np.eye(2)
+    with pytest.raises(ValueError, match=match):
+        pair_select(w1, eye, w2, eye)
 
 
 def test_lcu_i_minus_h2_scalars():

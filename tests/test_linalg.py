@@ -10,7 +10,6 @@ from bechain.linalg import (
     Tolerance,
     haar_unitary,
     herm_funcmat,
-    householder_column,
     is_hermitian,
     is_unitary,
     kron,
@@ -176,15 +175,6 @@ def test_select_qubit_grid():
         select_qubit([[np.eye(4), None], [None, np.eye(2)]])
     with pytest.raises(ValueError, match="2x2"):
         select_qubit([[None, None], [None, None]])
-
-
-def test_householder_column_complex():
-    rng = np.random.default_rng(5)
-    v = rng.standard_normal(8) + 1j * rng.standard_normal(8)
-    v /= np.linalg.norm(v)
-    p = householder_column(v)
-    assert is_unitary(p, Tolerance(1e-12))
-    np.testing.assert_allclose(p[:, 0], v, atol=1e-13)
 
 
 @settings(deadline=None, max_examples=25)
