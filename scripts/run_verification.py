@@ -7,6 +7,9 @@ Usage: python scripts/run_verification.py [outdir]
 import sys
 from pathlib import Path
 
+# This checkout's package, ahead of any installed copy.
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
+
 from bechain.cli import build_parser, config_from_args, run
 
 

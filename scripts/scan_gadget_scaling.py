@@ -14,8 +14,12 @@ Usage: python scripts/scan_gadget_scaling.py [seeds]
 """
 
 import sys
+from pathlib import Path
 
 import numpy as np
+
+# This checkout's package, ahead of any installed copy.
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
 from bechain.cli import RunConfig, sweep_rows
 

@@ -8,8 +8,12 @@ Usage: python scripts/uncompute_query_scaling.py [delta[,delta...]]
 """
 
 import sys
+from pathlib import Path
 
 import numpy as np
+
+# This checkout's package, ahead of any installed copy.
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
 from bechain import uncompute_hermitian
 from bechain.encoding import hermitian_test_encoding

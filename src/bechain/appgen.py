@@ -49,6 +49,7 @@ class TrotterSpec:
             raise ValueError("t must be finite")
         if not self.terms:
             raise ValueError("need at least one Hamiltonian term")
+        object.__setattr__(self, "k", _field(vars(self), "k", _count))
         if self.k < 1:
             raise ValueError("step count must be positive")
         dims = {h.shape for h in self.terms}
@@ -72,6 +73,8 @@ class DysonSpec:
     micro_steps: int = 256
 
     def __post_init__(self) -> None:
+        for name in ("k", "micro_steps"):
+            object.__setattr__(self, name, _field(vars(self), name, _count))
         if self.k < 1:
             raise ValueError("interval count must be positive")
         if self.micro_steps < 32:
@@ -94,17 +97,16 @@ def trotter_sequence(spec: TrotterSpec) -> list[BlockEncoding]:
 
     The list is in application order: entry 0 is applied first, so the
     product of the blocks (last·…·first) matches the first-order Trotter
-    approximation of e^{−iHt}.
+    approximation of e^{−iHt}.  Every step repeats the same factors, so each
+    term's encoding is built and validated once and the list holds K
+    references to each of those ``len(terms)`` objects.
     """
     dt = spec.t / spec.k
-    steps = [
-        herm_funcmat(h, lambda lam: np.exp(-1j * dt * lam)) for h in spec.terms
+    step = [
+        controlled_embedding(herm_funcmat(h, lambda lam: np.exp(-1j * dt * lam)))
+        for h in spec.terms
     ]
-    encodings: list[BlockEncoding] = []
-    for _ in range(spec.k):
-        for u_step in steps:
-            encodings.append(controlled_embedding(u_step))
-    return encodings
+    return step * spec.k
 
 
 # Largest scaled norm ‖h·A‖/2^s the Taylor kernel expands without squaring.
@@ -131,8 +133,9 @@ def _expm1_stack(a: np.ndarray, h: float, norm: float) -> np.ndarray:
         degree += 1
         tail *= xi / (degree + 1)
     eye = np.eye(x.shape[-1])
-    e = np.zeros_like(x)
-    for k in range(degree, 0, -1):  # Horner: X(I + X/2(I + … (I + X/m)))
+    # Horner: X(I + X/2(I + … (I + X/m))), its innermost factor X/m taken as is
+    e = x / degree if degree else np.zeros_like(x)
+    for k in range(degree - 1, 0, -1):
         e = (x @ (eye + e)) / k
     for _ in range(squarings):
         e = 2.0 * e + e @ e
@@ -152,29 +155,59 @@ def _ordered_product(e: np.ndarray) -> np.ndarray:
     return np.eye(e.shape[-1]) + e[0]
 
 
+def _certify_bound(a: np.ndarray, lam: float) -> bool:
+    """Whether ‖A_i‖ ≤ lam for every matrix of a stack, by one batched Cholesky.
+
+    With B = A/lam, I − B†B is positive definite exactly when ‖B‖ < 1, so a
+    factorization that succeeds with a finite factor proves the bound for the
+    whole stack without computing any norm.  A failure proves nothing: roundoff
+    at ‖A‖ = lam can break it, and the caller then measures the norms.
+    """
+    b = a / lam
+    try:
+        factor = np.linalg.cholesky(np.eye(a.shape[-1]) - b.conj().transpose(0, 2, 1) @ b)
+    except np.linalg.LinAlgError:
+        return False
+    return bool(np.isfinite(factor).all())
+
+
 def dyson_propagators(spec: DysonSpec) -> list[CMatrix]:
     """Ξ_j over each interval by a midpoint-exponential micro-step product.
 
-    Each interval's micro-steps are one stack: one norm check, one batched
-    exponential and a pairwise product.  The exponential's degree follows the
-    largest measured ‖A(t)‖, which the check has bounded by lam + 1e-8.
+    Each interval's micro-steps are one stack: one certificate of
+    ‖A(t)‖ ≤ λ′ = lam + 1e-8, one batched exponential and a pairwise product.
+    The certificate is a single batched Cholesky factorization; only when it
+    fails are the norms measured by SVD, to refuse the stack and name the first
+    offending t, or to accept it when the failure was roundoff at λ′.  The
+    exponential's degree follows min(λ′, largest Frobenius norm) after a
+    certificate, both upper bounds on every ‖A(t)‖, and the largest measured
+    norm after an SVD.  Every interval's A(t) must have the first one's shape.
     """
     dt = spec.t_total / spec.k
     h = dt / spec.micro_steps
+    lam = spec.lam + 1e-8
     out: list[CMatrix] = []
     for j in range(spec.k):
         t_mid = [j * dt + (s + 0.5) * h for s in range(spec.micro_steps)]
         a_mid = np.asarray([spec.a_of_t(t) for t in t_mid], dtype=complex)
         if a_mid.ndim != 3 or a_mid.shape[1] != a_mid.shape[2] or a_mid.shape[1] == 0:
             raise ValueError(f"A(t) must be a non-empty square matrix, got shape {a_mid.shape[1:]}")
+        if out and a_mid.shape[1:] != out[0].shape:
+            raise ValueError(
+                f"A(t) has shape {a_mid.shape[1:]} at t = {t_mid[0]}, not the first interval's {out[0].shape}"
+            )
         finite = np.isfinite(a_mid).all(axis=(1, 2))
         if not finite.all():
             raise ValueError(f"A(t) has non-finite entries at t = {t_mid[int(np.argmin(finite))]}")
-        norms = np.linalg.svd(a_mid, compute_uv=False)[:, 0]
-        over = norms > spec.lam + 1e-8
-        if over.any():
-            raise ValueError(f"‖A(t)‖ exceeds lam at t = {t_mid[int(np.argmax(over))]}")
-        out.append(_ordered_product(_expm1_stack(a_mid, h, float(norms.max()))))
+        if _certify_bound(a_mid, lam):
+            norm = min(lam, float(np.linalg.norm(a_mid, axis=(1, 2)).max()))
+        else:
+            norms = np.linalg.svd(a_mid, compute_uv=False)[:, 0]
+            over = norms > lam
+            if over.any():
+                raise ValueError(f"‖A(t)‖ exceeds lam at t = {t_mid[int(np.argmax(over))]}")
+            norm = float(norms.max())
+        out.append(_ordered_product(_expm1_stack(a_mid, h, norm)))
     return out
 
 

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import math
 import numbers
+import sys
 from dataclasses import dataclass
 from itertools import combinations, product
 from typing import Literal, Sequence
@@ -325,6 +326,13 @@ def corner_error(columns: CMatrix, target: np.ndarray) -> float:
     return opnorm(tgt - columns[:dn])
 
 
+def _require_integers(k: int, p: int) -> None:
+    """Refuse a non-integral K or p by name: 1.5 would reach ``range`` or 2**p."""
+    for name, value in (("K", k), ("p", p)):
+        if not isinstance(value, numbers.Integral):
+            raise ValueError(f"{name} must be an integer, got {value!r}")
+
+
 def macg_bound(k: int, p: int, c: float) -> float:
     """The paper's claimed closed-form p-MACG error bound 2e^c · (e·c²/(K·2^p))^{2^p}.
 
@@ -339,11 +347,15 @@ def macg_bound(k: int, p: int, c: float) -> float:
 
     Within its own derivation it is valid in the regime
     r = (η_max²(K−1)/2^p)^{2^p} ≤ 1/2; outside it the geometric-series step
-    fails and the bound is refused.
+    fails and the bound is refused.  K and p must be integers; once 2^p passes
+    the float range the bound is its limit in p, 0.0.
     """
+    _require_integers(k, p)
     if k < 2 or p < 1 or not c > 0:  # NaN fails c > 0
         raise ValueError(f"need K >= 2, p >= 1, c > 0; got c = {c!r}")
-    period = 2**p
+    if p >= sys.float_info.max_exp:  # 2^p overflows a float
+        return 0.0
+    period = 2.0**p  # exact, so the arithmetic is that of the integer 2^p
     eta = c / k
     r = (eta**2 * (k - 1) / period) ** period
     if r > 0.5:
@@ -379,9 +391,13 @@ def macg_run_bound(k: int, p: int, eta: float) -> float:
     with a failure carry Σ η^{2j} per (failure count mod 2^p, last outcome),
     charging η² wherever a run of failures starts.  Every term is positive,
     so nothing cancels; past the float range the result saturates at ``inf``.
+    K and p must be integers; where 2^p ≥ K no weight fits and B_run = 0.
     """
+    _require_integers(k, p)
     if k < 2 or p < 1 or not 0.0 <= eta <= 2.0:
         raise ValueError("need K >= 2, p >= 1 and eta in [0, 2] (‖U − I‖ <= 2)")
+    if p >= (int(k) - 1).bit_length():  # 2^p > K − 1, decided without forming 2^p
+        return 0.0
     e2 = eta * eta
     passed = [0.0] * 2**p  # index: failure count mod 2^p; last measurement passed
     failed = [0.0] * 2**p  # same, last measurement failed

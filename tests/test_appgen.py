@@ -46,6 +46,16 @@ def test_trotter_commuting_terms_exact():
     np.testing.assert_allclose(block_product(encs), exact, atol=1e-12)
 
 
+def test_trotter_reuses_one_encoding_per_term():
+    # every step repeats the same factors: len(terms) distinct objects, each
+    # built once, repeated K times in application order
+    terms = (0.5 * PAULI_X, 0.5 * PAULI_Z, 0.3 * PAULI_Y)
+    encs = trotter_sequence(TrotterSpec(terms, 1.0, 5))
+    assert len(encs) == 15
+    assert len({id(be) for be in encs}) == len(terms)
+    assert all(be is encs[i % len(terms)] for i, be in enumerate(encs))
+
+
 def test_trotter_validation():
     with pytest.raises(ValueError, match="Hermitian"):
         TrotterSpec((np.array([[0.0, 1.0], [0.0, 0.0]]),), 1.0, 2)
@@ -54,6 +64,21 @@ def test_trotter_validation():
     for t in (math.nan, math.inf):
         with pytest.raises(ValueError, match="t must be finite"):
             TrotterSpec((PAULI_X,), t, 2)
+
+
+def test_specs_refuse_non_integral_counts():
+    # 2.5 reached range() as a bare TypeError, and k=True ran one step
+    for k in (2.5, True, "2"):
+        with pytest.raises(ValueError, match="'k'"):
+            TrotterSpec((PAULI_X,), 1.0, k)
+        with pytest.raises(ValueError, match="'k'"):
+            DysonSpec(lambda t: -0.5j * PAULI_X, 0.5, 1.0, k, 32)
+    for micro_steps in (32.5, False):
+        with pytest.raises(ValueError, match="'micro_steps'"):
+            DysonSpec(lambda t: -0.5j * PAULI_X, 0.5, 1.0, 2, micro_steps)
+    spec = DysonSpec(lambda t: -0.5j * PAULI_X, 0.5, 1.0, np.int64(2), np.int64(32))
+    assert (spec.k, spec.micro_steps) == (2, 32)
+    assert TrotterSpec((PAULI_X,), 1.0, np.int64(3)).k == 3
 
 
 def test_dyson_zero_generator():
@@ -96,6 +121,37 @@ def test_dyson_lambda_violation():
         dyson_propagators(spec)
 
 
+def _no_svd(*args, **kwargs):
+    raise AssertionError("the certificate should have decided without an SVD")
+
+
+def test_dyson_certificate_needs_no_svd(monkeypatch):
+    spec = DysonSpec(lambda t: -1j * np.cos(t) * 0.5 * PAULI_X, 0.5, 1.0, 16, 256)
+    expected = dyson_propagators(spec)
+    monkeypatch.setattr(np.linalg, "svd", _no_svd)
+    for got, ref in zip(dyson_propagators(spec), expected, strict=True):
+        assert np.array_equal(got, ref)
+
+
+# a non-normal generator of norm exactly 1: its Gram matrix is not A·A†
+_NON_NORMAL = np.array([[0.3, 1.0], [0.0, -0.2j]])
+_NON_NORMAL = _NON_NORMAL / np.linalg.svd(_NON_NORMAL, compute_uv=False)[0]
+
+
+def test_dyson_certificate_margin(monkeypatch):
+    # λ′ = lam + 1e-8: a norm 5e-9 above lam is certified without an SVD
+    with monkeypatch.context() as patched:
+        patched.setattr(np.linalg, "svd", _no_svd)
+        dyson_propagators(DysonSpec(lambda t: (0.5 + 5e-9) * _NON_NORMAL, 0.5, 1.0, 2, 32))
+    # 2e-8 above lam from the first midpoint past t = 0.3 on: refused, and the
+    # message names that midpoint, 19.5/64
+    def a_of_t(t):
+        return (0.5 + (2e-8 if t > 0.3 else 0.0)) * _NON_NORMAL
+
+    with pytest.raises(ValueError, match="^‖A\\(t\\)‖ exceeds lam at t = 0.3046875$"):
+        dyson_propagators(DysonSpec(a_of_t, 0.5, 1.0, 2, 32))
+
+
 def test_dyson_spec_rejects_non_finite_fields():
     for lam in (math.nan, math.inf):
         with pytest.raises(ValueError, match="lam"):
@@ -134,6 +190,8 @@ def _reference_propagators(spec: DysonSpec) -> list[np.ndarray]:
         (lambda t: -0.3 * np.eye(2) - 1.2j * np.cos(t) * PAULI_Y, 1.5, 64.0, 2, 32),
         # odd micro-step count: the pairwise product carries a last factor
         (lambda t: -1j * (0.6 * np.cos(t) * PAULI_X + 0.3 * PAULI_Z), 0.9, 1.0, 3, 33),
+        # loose lam (10 against ‖A‖ ≤ 0.9): the degree follows the Frobenius norm
+        (lambda t: -1j * (0.6 * np.cos(t) * PAULI_X + 0.3 * PAULI_Z), 10.0, 1.0, 4, 32),
     ],
 )
 def test_dyson_batched_kernel_matches_sequential_expm(a_of_t, lam, t_total, k, micro_steps):
@@ -153,6 +211,34 @@ def test_expm1_stack_matches_scipy_up_to_norm_7():
             assert opnorm(g - ref) <= 1e-14 * opnorm(ref)
 
 
+def _expm1_stack_full_horner(a, h, norm):
+    """_expm1_stack with its Horner loop started from zero, X·(I + 0)/m first."""
+    bound = norm * abs(h)
+    squarings = math.frexp(bound / 0.5)[1] if bound > 0.5 else 0
+    x = a * (h * 2.0**-squarings)
+    xi = bound * 2.0**-squarings
+    degree, tail = 0, xi
+    while tail * math.exp(xi) > 2.0**-53:
+        degree += 1
+        tail *= xi / (degree + 1)
+    eye = np.eye(x.shape[-1])
+    e = np.zeros_like(x)
+    for k in range(degree, 0, -1):
+        e = (x @ (eye + e)) / k
+    for _ in range(squarings):
+        e = 2.0 * e + e @ e
+    return e
+
+
+def test_expm1_stack_equals_full_horner_loop():
+    # starting Horner at X/m skips the product X·I and changes no bit
+    rng = np.random.default_rng(7)
+    for norm in (0.0, 1e-4, 0.3, 0.5, 0.7, 2.0, 7.0):
+        x = rng.standard_normal((8, 4, 4)) + 1j * rng.standard_normal((8, 4, 4))
+        x *= norm / np.linalg.svd(x, compute_uv=False)[:, :1, None]
+        assert np.array_equal(_expm1_stack(x, 1.0, norm), _expm1_stack_full_horner(x, 1.0, norm))
+
+
 def test_dyson_rejects_malformed_generator_values():
     def nan_at_one_t(t):
         return np.full((2, 2), np.nan) if 0.25 < t < 0.26 else -0.5j * PAULI_X
@@ -161,6 +247,12 @@ def test_dyson_rejects_malformed_generator_values():
         dyson_propagators(DysonSpec(nan_at_one_t, 0.5, 1.0, 2, 32))
     with pytest.raises(ValueError, match="square"):
         dyson_propagators(DysonSpec(lambda t: np.zeros((2, 3)), 0.5, 1.0, 2, 32))
+    # every interval's A(t) has the first interval's shape; the first midpoint
+    # of the second interval is 0.5 + 1/128
+    with pytest.raises(ValueError, match="shape \\(3, 3\\) at t = 0.5078125"):
+        dyson_propagators(
+            DysonSpec(lambda t: np.zeros((2, 2)) if t < 0.5 else np.zeros((3, 3)), 0.5, 1.0, 2, 32)
+        )
     # ‖A‖·h = 1e200·1e200/32 overflows: refused, not looped on
     with pytest.raises(ValueError, match="too large"):
         dyson_propagators(DysonSpec(lambda t: -1e200j * PAULI_X, 1e200, 1e200, 1, 32))

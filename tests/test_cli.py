@@ -144,6 +144,26 @@ def test_usage_error_exit_code():
     assert proc.returncode == 2
 
 
+def test_experiment_script_runs_its_own_checkout(tmp_path):
+    # the scripts put their checkout's src first on sys.path: they run from
+    # any directory with no install and no PYTHONPATH, and a bechain found
+    # elsewhere on the path never stands in for the checkout's
+    script = Path(__file__).resolve().parents[1] / "scripts" / "scan_gadget_scaling.py"
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
+    proc = subprocess.run(
+        [sys.executable, str(script), "1"], capture_output=True, text=True, cwd=tmp_path, env=env
+    )
+    assert proc.returncode == 0, proc.stderr
+    decoy = tmp_path / "decoy" / "bechain"
+    decoy.mkdir(parents=True)
+    (decoy / "__init__.py").write_text("raise ImportError('decoy bechain imported')\n")
+    proc = subprocess.run(
+        [sys.executable, str(script), "1"], capture_output=True, text=True, cwd=tmp_path,
+        env={**env, "PYTHONPATH": str(decoy.parent)},
+    )
+    assert proc.returncode == 0, proc.stderr
+
+
 COLD_IMPORT_CHILD = """
 import os
 import sys

@@ -305,6 +305,29 @@ def test_macg_bound_rejects_nan_c():
         macg_bound(8, 1, math.nan)
 
 
+def test_macg_bounds_refuse_non_integral_k_and_p():
+    # 16.5 and 1.5 reached range() or 2**p as a bare TypeError, and
+    # macg_bound(16, 1.5, 0.5) returned a number
+    for bound, x in ((macg_run_bound, 0.1), (macg_bound, 0.5)):
+        with pytest.raises(ValueError, match="K must be an integer"):
+            bound(16.5, 1, x)
+        with pytest.raises(ValueError, match="p must be an integer"):
+            bound(16, 1.5, x)
+        assert bound(np.int64(16), np.int64(1), x) == bound(16, 1, x)
+
+
+def test_macg_bounds_at_large_p():
+    # 2^p ≥ K: no weight 2^p fits in K − 1 measurements, decided before any
+    # 2^p-entry table is built (p = 64 cannot even size one)
+    assert macg_run_bound(16, 4, 0.1) == 0.0 < macg_run_bound(17, 4, 0.1)
+    for p in (20, 64, 10**6):
+        assert macg_run_bound(16, p, 0.1) == 0.0
+    # once 2^p passes the float range the closed form is its limit, 0.0
+    assert macg_bound(16, 1023, 0.5) == 0.0
+    for p in (1024, 2000, 10**6):
+        assert macg_bound(16, p, 0.5) == 0.0
+
+
 # --- the per-sequence norm claim: where it holds and where it fails ----------
 
 
