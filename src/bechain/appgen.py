@@ -181,7 +181,7 @@ def dyson_propagators(spec: DysonSpec) -> list[CMatrix]:
     offending t, or to accept it when the failure was roundoff at λ′.  The
     exponential's degree follows min(λ′, largest Frobenius norm) after a
     certificate, both upper bounds on every ‖A(t)‖, and the largest measured
-    norm after an SVD.  Every interval's A(t) must have the first one's shape.
+    norm after an SVD.  Every A(t) must have the first one's shape.
     """
     dt = spec.t_total / spec.k
     h = dt / spec.micro_steps
@@ -189,13 +189,19 @@ def dyson_propagators(spec: DysonSpec) -> list[CMatrix]:
     out: list[CMatrix] = []
     for j in range(spec.k):
         t_mid = [j * dt + (s + 0.5) * h for s in range(spec.micro_steps)]
-        a_mid = np.asarray([spec.a_of_t(t) for t in t_mid], dtype=complex)
-        if a_mid.ndim != 3 or a_mid.shape[1] != a_mid.shape[2] or a_mid.shape[1] == 0:
-            raise ValueError(f"A(t) must be a non-empty square matrix, got shape {a_mid.shape[1:]}")
-        if out and a_mid.shape[1:] != out[0].shape:
-            raise ValueError(
-                f"A(t) has shape {a_mid.shape[1:]} at t = {t_mid[0]}, not the first interval's {out[0].shape}"
-            )
+        values = [spec.a_of_t(t) for t in t_mid]
+        shape = out[0].shape if out else np.shape(values[0])
+        if len(shape) != 2 or shape[0] != shape[1] or shape[0] == 0:
+            raise ValueError(f"A(t) must be a non-empty square matrix, got shape {shape}")
+        try:
+            a_mid = np.asarray(values, dtype=complex)
+        except ValueError:  # values of several shapes, or not numbers
+            a_mid = None
+        if a_mid is None or a_mid.shape[1:] != shape:
+            for t, value in zip(t_mid, values):
+                if np.shape(value) != shape:
+                    raise ValueError(f"A(t) has shape {np.shape(value)} at t = {t}, not {shape}")
+            raise ValueError("A(t) must be a complex matrix")
         finite = np.isfinite(a_mid).all(axis=(1, 2))
         if not finite.all():
             raise ValueError(f"A(t) has non-finite entries at t = {t_mid[int(np.argmin(finite))]}")

@@ -172,24 +172,31 @@ def _near_identity_set(k: int, c: float, n: int, a: int, base_seed: int) -> list
     return [random_near_identity(n, a, c / k, base_seed + i) for i in range(k)]
 
 
+def _bound_or_none(bound: Callable[..., float], *args) -> Optional[float]:
+    """The bound's value, or None where it refuses its arguments."""
+    try:
+        return bound(*args)
+    except ValueError:
+        return None
+
+
+def _pmacg_row(encodings, p: int, c: Optional[float], seed: int) -> dict:
+    """Judge the p-MACG gadget against ``macg_bound`` at c (None: the measured K·η_max)."""
+    k = len(encodings)
+    eta_max = deviation_profile(encodings).eta_max
+    c = eta_max * k if c is None else c
+    circ = gadget_pmacg(encodings, p)
+    e = gadget_error_exact(circ, block_product(encodings))
+    bound = _bound_or_none(macg_bound, k, p, c)
+    return _error_row(k, circ.m, p, c, eta_max, e, bound, bound is not None and e <= bound, seed)
+
+
 def _macg_row(cfg: RunConfig, task: tuple[int, int, int]) -> dict:
     k, p, trial = task
     base = trial_seed(cfg.seed, trial) + 104729 * k + 1299709 * p
     encs = _near_identity_set(k, cfg.c, cfg.n, cfg.a, base)
-    circ = gadget_pmacg(encs, p)
-    e = gadget_error_exact(circ, block_product(encs))
-    eta_max = deviation_profile(encs).eta_max
-    try:
-        bound = macg_bound(k, p, cfg.c)
-    except ValueError:
-        bound = None
-    try:
-        run_bound = macg_run_bound(k, p, eta_max)
-    except ValueError:
-        run_bound = None
-    row = _error_row(k, circ.m, p, cfg.c, eta_max, e, bound,
-                     bound is not None and e <= bound, trial_seed(cfg.seed, trial))
-    row["e_run_bound"] = run_bound
+    row = _pmacg_row(encs, p, cfg.c, trial_seed(cfg.seed, trial))
+    row["e_run_bound"] = _bound_or_none(macg_run_bound, k, p, row["eta_max"])
     return row
 
 
@@ -213,8 +220,8 @@ def _lb_probe_row(cfg: RunConfig, task: tuple[int, int]) -> dict:
     below_bound = cfg.m < math.ceil(math.log2(k))
     threshold = 1e-3 if below_bound else 1e-8
     ok = residual >= threshold if below_bound else residual <= threshold
-    return _error_row(k, cfg.m, None, None, 0.0, residual, threshold, ok,
-                      trial_seed(cfg.seed, trial))
+    return _error_row(k, cfg.m, None, None, deviation_profile(encs).eta_max, residual,
+                      threshold, ok, trial_seed(cfg.seed, trial))
 
 
 def _oaa_row(cfg: RunConfig, task: tuple[int, int]) -> dict:
@@ -234,25 +241,10 @@ def _oaa_row(cfg: RunConfig, task: tuple[int, int]) -> dict:
     return row
 
 
-def _sequence_row(encodings, seed: int) -> dict:
-    """Judge the p = 1 gadget on a generated sequence at c = K·η_max."""
-    k_gadget = len(encodings)
-    eta_max = deviation_profile(encodings).eta_max
-    c_measured = eta_max * k_gadget
-    circ = gadget_pmacg(encodings, 1)
-    e = gadget_error_exact(circ, block_product(encodings))
-    try:
-        bound = macg_bound(k_gadget, 1, c_measured)
-    except ValueError:
-        bound = None
-    return _error_row(k_gadget, 1, 1, c_measured, eta_max, e, bound,
-                      bound is not None and e <= bound, seed)
-
-
 def _gen_trotter_row(cfg: RunConfig, trial: int) -> dict:
     k = _only(cfg, "K")
     spec = TrotterSpec((0.5 * PAULI_X, 0.5 * PAULI_Z), cfg.t_total, k)
-    return _sequence_row(trotter_sequence(spec), trial_seed(cfg.seed, trial))
+    return _pmacg_row(trotter_sequence(spec), 1, None, trial_seed(cfg.seed, trial))
 
 
 def _gen_dyson_row(cfg: RunConfig, trial: int) -> dict:
@@ -275,7 +267,7 @@ def _gen_dyson_row(cfg: RunConfig, trial: int) -> dict:
             "K": 16 if cfg.k_list is None else _only(cfg, "K"),
         }
     encs = dyson_sequence(dyson_spec_from_json(spec_json))
-    return _sequence_row(encs, trial_seed(cfg.seed, trial))
+    return _pmacg_row(encs, 1, None, trial_seed(cfg.seed, trial))
 
 
 @dataclass(frozen=True)
@@ -322,15 +314,14 @@ def sweep_rows(cfg: RunConfig) -> list[dict]:
 
 
 def run(cfg: RunConfig) -> int:
-    """Execute one subcommand, write its artifact, print a summary table."""
+    """Execute one subcommand, write its artifact, print a summary table to stderr."""
     rows, header = sweep_rows(cfg), _SWEEPS[cfg.subcommand].header
     write_rows(rows, header, cfg.out_path, cfg.fmt)
     failures = sum(1 for r in rows if not r.get("pass", True))
     widths = [max(len(h), 14) for h in header]
-    print("  ".join(h.ljust(w) for h, w in zip(header, widths)))
-    for row in rows:
-        print("  ".join(_fmt(row.get(h)).ljust(w) for h, w in zip(header, widths)))
-    print(f"{cfg.subcommand}: {len(rows)} rows, {failures} failed")
+    for cells in [header] + [[_fmt(row.get(h)) for h in header] for row in rows]:
+        print("  ".join(cell.ljust(w) for cell, w in zip(cells, widths)), file=sys.stderr)
+    print(f"{cfg.subcommand}: {len(rows)} rows, {failures} failed", file=sys.stderr)
     return 0 if failures == 0 else 1
 
 

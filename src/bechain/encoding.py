@@ -17,8 +17,6 @@ import numpy as np
 from .linalg import (
     CMatrix,
     DEFAULT_TOL,
-    PAULI_X,
-    PAULI_Z,
     _unitary_within,
     as_cmatrix,
     bit_index,
@@ -146,14 +144,14 @@ def normalize_selectors(be: BlockEncoding) -> BlockEncoding:
 
 
 def dilate_hermitian(h: np.ndarray) -> BlockEncoding:
-    """Hermitian unitary dilation U = Z⊗H + X⊗√(I−H²), a (1,1,0)-encoding of H."""
+    """Hermitian unitary dilation U = [[H, √(I−H²)], [√(I−H²), −H]], a (1,1,0)-encoding of H."""
     arr = as_cmatrix(h)
     if not is_hermitian(arr):
         raise ValueError("dilate_hermitian needs a Hermitian matrix")
     if opnorm(arr) > 1.0 + 1e-10:
         raise ValueError("not subnormalized: ‖H‖ > 1")
     comp = sqrt_one_minus_sq(arr)
-    u = kron(PAULI_Z, arr) + kron(PAULI_X, comp)
+    u = select_qubit([[arr, comp], [comp, -arr]])
     n = int(np.log2(arr.shape[0]))
     return BlockEncoding(u, 1, n)
 

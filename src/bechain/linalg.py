@@ -65,12 +65,6 @@ def opnorm(m: npt.ArrayLike) -> float:
     return float(np.linalg.svd(arr, compute_uv=False)[0])
 
 
-def _opnorm_within(dev: CMatrix, atol: float) -> bool:
-    """``opnorm(dev) ≤ atol``.  Since ‖E‖₂ ≤ ‖E‖_F, ``‖dev‖_F ≤ atol`` accepts
-    without the SVD; anything else (an empty ``dev`` too) gets the SVD's verdict."""
-    return bool(dev.size and np.linalg.norm(dev) <= atol) or opnorm(dev) <= atol
-
-
 ROW_PANEL = 64  # rows per panel where a whole-matrix temporary would be full size
 
 
@@ -110,10 +104,11 @@ def is_unitary(m: npt.ArrayLike, tol: Tolerance = DEFAULT_TOL) -> bool:
 
 
 def is_hermitian(m: npt.ArrayLike, tol: Tolerance = DEFAULT_TOL) -> bool:
+    """True iff M is square with ``‖M − M†‖ ≤ atol``."""
     arr = as_cmatrix(m)
     if arr.shape[0] != arr.shape[1]:
         return False
-    return _opnorm_within(arr - arr.conj().T, tol.atol)
+    return opnorm(arr - arr.conj().T) <= tol.atol
 
 
 def dagger(m: npt.ArrayLike) -> CMatrix:

@@ -29,6 +29,7 @@ from .encoding import MAX_QUBITS, BlockEncoding, deviation_profile, normalize_se
 from .linalg import CMatrix, DEFAULT_TOL, as_cmatrix, dagger, is_unitary, kron, opnorm
 
 ENUMERATION_CAP = 17
+_LOG_FLOAT_MAX = math.log(sys.float_info.max)  # math.exp overflows exactly past it
 
 
 def _common_registers(encodings: Sequence[BlockEncoding]) -> tuple[int, int]:
@@ -73,10 +74,6 @@ class MCMCircuit:
                 raise ValueError("every V_i must be an m-qubit unitary")
         if self.q.shape != (dm, dm) or not is_unitary(self.q, DEFAULT_TOL):
             raise ValueError("Q must be an m-qubit unitary")
-
-    @property
-    def k(self) -> int:
-        return len(self.encodings)
 
     @property
     def n(self) -> int:
@@ -348,7 +345,8 @@ def macg_bound(k: int, p: int, c: float) -> float:
     Within its own derivation it is valid in the regime
     r = (η_max²(K−1)/2^p)^{2^p} ≤ 1/2; outside it the geometric-series step
     fails and the bound is refused.  K and p must be integers; once 2^p passes
-    the float range the bound is its limit in p, 0.0.
+    the float range the bound is its limit in p, 0.0.  Where a direct form
+    overflows it is evaluated in logs, and the bound is ``inf`` only past the float range.
     """
     _require_integers(k, p)
     if k < 2 or p < 1 or not c > 0:  # NaN fails c > 0
@@ -356,11 +354,22 @@ def macg_bound(k: int, p: int, c: float) -> float:
     if p >= sys.float_info.max_exp:  # 2^p overflows a float
         return 0.0
     period = 2.0**p  # exact, so the arithmetic is that of the integer 2^p
-    eta = c / k
-    r = (eta**2 * (k - 1) / period) ** period
+    log_base = 2.0 * math.log(c) - math.log(k) - math.log(period)  # log(c²/(K·2^p))
+    try:
+        eta = c / k
+        r = (eta**2 * (k - 1) / period) ** period
+    except OverflowError:  # η², K or r past the float range: r > 1/2 decided in logs
+        r = math.exp(min(period * (log_base + math.log(k - 1) - math.log(k)), 0.0))
     if r > 0.5:
         raise ValueError("bound regime not satisfied")
-    return 2.0 * math.exp(c) * (math.e * c**2 / (k * period)) ** period
+    try:
+        bound = 2.0 * math.exp(c) * (math.e * c**2 / (k * period)) ** period
+    except OverflowError:
+        bound = math.inf
+    log_bound = math.log(2.0) + c + period * (1.0 + log_base)
+    if bound == math.inf and log_bound <= _LOG_FLOAT_MAX:
+        bound = math.exp(log_bound)  # finite, though a step of the direct form overflowed
+    return bound
 
 
 def macg_run_bound(k: int, p: int, eta: float) -> float:

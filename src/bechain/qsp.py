@@ -3,8 +3,10 @@
 Convention: the single-qubit signal operator is the rotation form
 ``W(x) = [[x, i√(1−x²)], [i√(1−x²), x]]`` with interleaved ``e^{iφZ}``
 rotations ("wx" convention), so the all-zero phase vector of length d+1
-realizes the Chebyshev polynomial T_d.  A solved phase vector Φ realizes a
-real target polynomial p as ``Re⟨0|U_Φ(x)|0⟩ = p(x)``; the matrix-level lift
+realizes the Chebyshev polynomial T_d.  Degree and parity are read off lengths:
+d + 1 coefficients or d + 1 symmetric phases (Dong–Meng–Whaley–Lin, arXiv:2002.11649)
+make a polynomial of degree d and parity d mod 2.  A solved phase vector Φ
+realizes a real target polynomial p as ``Re⟨0|U_Φ(x)|0⟩ = p(x)``; the matrix-level lift
 (:func:`qsvt_apply`) recovers the real part by averaging the ±Φ sequences on
 one extra ancilla, so block-level results are convention independent.
 """
@@ -29,27 +31,30 @@ _FIT_DOMAIN_MARGIN = 0.8
 _MAX_RESTARTS = 10
 _REMEZ_MAX_STEPS = 100
 _GAUSS_NEWTON_MAX_STEPS = 100
+_PARITY = ("even", "odd")  # indexed by degree mod 2
 
 
 @dataclass(frozen=True)
 class ChebPoly:
-    """Real polynomial in the Chebyshev basis, Σ_k coeffs[k]·T_k(x)."""
+    """Real polynomial Σ_k coeffs[k]·T_k(x) of degree len(coeffs) − 1, whose
+    coefficients of the other parity than the degree's vanish (within 1e-13)."""
 
     coeffs: np.ndarray
-    parity: str  # "even" | "odd" | "none"
-    degree: int
 
     def __post_init__(self) -> None:
         c = np.asarray(self.coeffs, dtype=float)
         object.__setattr__(self, "coeffs", c)
-        if self.degree != c.size - 1:
-            raise ValueError("degree must equal len(coeffs) - 1")
-        if self.parity == "even" and np.any(np.abs(c[1::2]) > 1e-13):
-            raise ValueError("even polynomial has nonzero odd coefficients")
-        if self.parity == "odd" and np.any(np.abs(c[0::2]) > 1e-13):
-            raise ValueError("odd polynomial has nonzero even coefficients")
-        if self.parity not in ("even", "odd", "none"):
-            raise ValueError(f"unknown parity {self.parity!r}")
+        odd = self.degree % 2
+        if np.any(np.abs(c[1 - odd :: 2]) > 1e-13):
+            raise ValueError(f"{self.parity} polynomial has nonzero {_PARITY[odd - 1]} coefficients")
+
+    @property
+    def degree(self) -> int:
+        return self.coeffs.size - 1
+
+    @property
+    def parity(self) -> str:
+        return _PARITY[self.degree % 2]
 
     def __call__(self, x):
         return np_cheb.chebval(x, self.coeffs)
@@ -59,7 +64,7 @@ class ChebPoly:
         return float(np.max(np.abs(self(np.linspace(-1.0, 1.0, 4001)))))
 
     def rescaled(self, factor: float) -> "ChebPoly":
-        return ChebPoly(self.coeffs * factor, self.parity, self.degree)
+        return ChebPoly(self.coeffs * factor)
 
 
 @dataclass(frozen=True)
@@ -67,7 +72,6 @@ class PhaseFactors:
     """QSP phases (radians) in the fixed "wx" convention, length degree+1."""
 
     phases: np.ndarray
-    parity: str
     residual: float = 0.0
 
     def __post_init__(self) -> None:
@@ -75,22 +79,19 @@ class PhaseFactors:
         object.__setattr__(self, "phases", p)
         if p.ndim != 1 or p.size < 1:
             raise ValueError("phases must be a non-empty 1-D array")
-        d = p.size - 1
-        if self.parity != ("even" if d % 2 == 0 else "odd"):
-            raise ValueError("parity does not match the phase count")
 
     @property
     def degree(self) -> int:
         return self.phases.size - 1
 
+    @property
+    def parity(self) -> str:
+        return _PARITY[self.degree % 2]
 
-def chebyshev_phases(degree: int, negate: bool = False) -> PhaseFactors:
-    """Phases realizing T_d (all zero) or −T_d (π/2 at both ends)."""
-    ph = np.zeros(degree + 1)
-    if negate:
-        ph[0] = np.pi / 2
-        ph[-1] += np.pi / 2
-    return PhaseFactors(ph, "even" if degree % 2 == 0 else "odd")
+
+def chebyshev_phases(degree: int) -> PhaseFactors:
+    """The all-zero phases, which realize T_d."""
+    return PhaseFactors(np.zeros(degree + 1))
 
 
 # ---------------------------------------------------------------------------
@@ -212,7 +213,7 @@ def approx_half_sqrt(delta: float, eta: float) -> ChebPoly:
             continue
         if float(np.max(np.abs(np_cheb.chebval(dense_all, coeffs)))) > _QSP_SUP_LIMIT:
             continue
-        return ChebPoly(coeffs, "even", degree)
+        return ChebPoly(coeffs)
     raise ValueError(
         f"accuracy eta={eta} unreachable at degree cap {MAX_DEGREE}; "
         f"best sup-error achieved {best_err:.3e}"
@@ -297,16 +298,6 @@ def _residual_and_jac(
     return np.real(row0[-1, :, 0]) - target, jac.T
 
 
-def _is_pure_chebyshev(p: ChebPoly) -> Optional[float]:
-    """If p = s·T_d with |s| = 1 (within 1e-14), return s."""
-    c = p.coeffs
-    if abs(abs(c[-1]) - 1.0) > 1e-14:
-        return None
-    if np.any(np.abs(c[:-1]) > 1e-14):
-        return None
-    return float(np.sign(c[-1]))
-
-
 def _gauss_newton(
     free: np.ndarray, fold: np.ndarray, xs: np.ndarray, target: np.ndarray
 ) -> np.ndarray:
@@ -327,26 +318,22 @@ def solve_phases(p: ChebPoly) -> PhaseFactors:
     """Symmetric phases with Re⟨0|U_Φ(x)|0⟩ = p(x) to ≤ 1e−8 on a dense grid.
 
     Gauss–Newton least squares with an analytic Jacobian from the
-    (π/4, 0, …, 0, π/4) seed, with seeded random restarts.  Targets must have
-    definite parity and sup-norm at most 1; rescale first if needed.
+    (π/4, 0, …, 0, π/4) seed, with seeded random restarts; T_d gets its exact
+    all-zero phases.  Targets must have sup-norm at most 1; rescale first if needed.
     Convergence is measured, not guaranteed: random targets at sup-norm 0.999
     converge at degrees 20, 51 and 100 (``tests/test_qsp.py``), while at
     sup-norm 1 − 1e−6 every restart failed at degrees 20, 33, 51 and 100, so such
     targets raise ``RuntimeError``.
     """
-    if p.parity not in ("even", "odd"):
-        raise ValueError("solve_phases needs a definite-parity polynomial")
     degree = p.degree
-    if p.parity != ("even" if degree % 2 == 0 else "odd"):
-        raise ValueError("parity does not match the polynomial degree")
     sup = p.sup_norm()
     if sup > 1.0 + 1e-12:
         raise ValueError(f"sup-norm {sup} exceeds 1; rescale the polynomial first")
 
-    sign = _is_pure_chebyshev(p)
-    if sign is not None:
-        phi = chebyshev_phases(degree, negate=sign < 0)
-        return PhaseFactors(phi.phases, phi.parity, residual=_dense_residual(phi, p))
+    # p = T_d: the all-zero phases give ⟨0|U|0⟩ = T_d exactly, imaginary part included
+    if np.all(np.abs(p.coeffs - np.eye(1, degree + 1, degree)[0]) <= 1e-14):
+        zero = chebyshev_phases(degree)
+        return PhaseFactors(zero.phases, residual=_dense_residual(zero, p))
 
     nfree = (degree + 2) // 2
     j = np.arange(degree + 1)
@@ -362,15 +349,14 @@ def solve_phases(p: ChebPoly) -> PhaseFactors:
     for restart in range(_MAX_RESTARTS):
         x0 = seed_free if restart == 0 else seed_free + 0.3 * rng.standard_normal(nfree)
         phases = _gauss_newton(x0, fold, xs, target)[fold]
-        phi = PhaseFactors(phases, p.parity)
-        res = _dense_residual(phi, p)
+        res = _dense_residual(PhaseFactors(phases), p)
         if best is None or res < best[0]:
             best = (res, phases)
         if res <= 5e-9:
-            return PhaseFactors(phases, p.parity, residual=res)
+            return PhaseFactors(phases, residual=res)
     assert best is not None
     if best[0] <= 1e-8:
-        return PhaseFactors(best[1], p.parity, residual=best[0])
+        return PhaseFactors(best[1], residual=best[0])
     raise RuntimeError(
         f"phase solver did not converge after {_MAX_RESTARTS} restarts; "
         f"best residual {best[0]:.3e}"
@@ -457,9 +443,6 @@ def qsvt_apply(phi: PhaseFactors, be: BlockEncoding) -> BlockEncoding:
     LCU of the two sequences (each built from rank-2^n pair updates) with a
     Hadamard prep on the new qubit.
     """
-    d = phi.degree
-    if phi.parity != ("even" if d % 2 == 0 else "odd"):
-        raise ValueError("phase parity does not match the sequence length")
     enc = normalize_selectors(be)
     block_dim = 2**enc.n
     seq_plus = _qsvt_product(enc.u, block_dim, phi.phases)

@@ -77,7 +77,6 @@ class UncomputeReport:
     delta: float
     queries_vh: int
     ancillae_peak: int
-    ancillae_final: int = 1
     qsvt_degree: int = 0
     eps_w: float = 0.0
     eps_dilation: float = 0.0
@@ -85,8 +84,6 @@ class UncomputeReport:
     def __post_init__(self) -> None:
         if self.eps_measured > self.eps_requested:
             raise ValueError("report invariant violated: eps_measured > eps_requested")
-        if self.ancillae_final != 1:
-            raise ValueError("report invariant violated: ancillae_final != 1")
 
     def to_row(self) -> dict:
         return {

@@ -105,7 +105,7 @@ def test_criterion_04_qsvt_consistency(report):
         d = int(rng.integers(2, 32))
         coeffs = np.zeros(d + 1)
         coeffs[d % 2 :: 2] = rng.standard_normal(coeffs[d % 2 :: 2].size)
-        p = ChebPoly(coeffs, "even" if d % 2 == 0 else "odd", d)
+        p = ChebPoly(coeffs)
         p = p.rescaled(0.9 / p.sup_norm())
         out = bc.qsvt_apply(bc.solve_phases(p), be)
         oracle = bc.herm_funcmat(h, lambda x: p(x))

@@ -253,6 +253,11 @@ def test_dyson_rejects_malformed_generator_values():
         dyson_propagators(
             DysonSpec(lambda t: np.zeros((2, 2)) if t < 0.5 else np.zeros((3, 3)), 0.5, 1.0, 2, 32)
         )
+    # ... and inside one interval too: 0.3 + 1/128 is the first midpoint past 0.3
+    with pytest.raises(ValueError, match=r"shape \(3, 3\) at t = 0.3046875, not \(2, 2\)"):
+        dyson_propagators(
+            DysonSpec(lambda t: np.zeros((2, 2)) if t < 0.3 else np.zeros((3, 3)), 0.5, 1.0, 2, 32)
+        )
     # ‖A‖·h = 1e200·1e200/32 overflows: refused, not looped on
     with pytest.raises(ValueError, match="too large"):
         dyson_propagators(DysonSpec(lambda t: -1e200j * PAULI_X, 1e200, 1e200, 1, 32))

@@ -10,7 +10,8 @@ from pathlib import Path
 import pytest
 
 import bechain
-from bechain.cli import RunConfig, build_parser, config_from_args, run
+from bechain.cli import _SWEEPS, RunConfig, build_parser, config_from_args, main, run, trial_seed
+from bechain.encoding import deviation_profile, random_block_encoding
 from bechain.mcm import macg_run_bound
 
 
@@ -94,6 +95,70 @@ def test_gen_dyson_dissipative_config_uses_normalized_deviation(tmp_path, capsys
     eta_max, e = float(row["eta_max"]), float(row["e_measured"])
     assert eta_max < 1.0
     assert e <= macg_run_bound(int(row["K"]), 1, eta_max)
+
+
+def test_stdout_holds_only_the_artifact(capsys):
+    # with --out - the table and summary go to stderr, so stdout parses
+    assert main(["gen-trotter", "--K", "8", "--format", "json"]) == 0
+    out, err = capsys.readouterr()
+    rows = json.loads(out)
+    assert len(rows) == 1 and rows[0]["pass"] is True
+    assert "gen-trotter: 1 rows, 0 failed" in err
+    assert main(["gen-trotter", "--K", "8"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert [len(row) for row in csv.reader(lines)] == [9, 9]
+
+
+def test_oaa_demo_passes(tmp_path, capsys):
+    code, data = _run_cli(["oaa-demo", "--K", "8", "--trials", "2"], tmp_path, "o.csv")
+    rows = list(csv.DictReader(data.decode().splitlines()))
+    assert code == 0
+    assert [row["pass"] for row in rows] == ["true", "true"]
+
+
+def test_gen_dyson_default_generator_passes(tmp_path, capsys):
+    # without --config: the cosine generator at K = 16, T = 1
+    code, data = _run_cli(["gen-dyson"], tmp_path, "d.csv")
+    row = next(csv.DictReader(data.decode().splitlines()))
+    assert (row["K"], row["pass"]) == ("16", "true")
+    assert code == 0
+
+
+def test_gen_dyson_two_term_pauli_config_passes(tmp_path, capsys):
+    cfg = {
+        "generator": {"family": "two_term_pauli", "pauli1": "X", "pauli2": "Y",
+                      "c1": 0.3, "c2": 0.4, "omega": 2.0},
+        "T": 1.0,
+        "K": 8,
+        "micro_steps": 64,
+    }
+    cfg_path = tmp_path / "pauli.json"
+    cfg_path.write_text(json.dumps(cfg))
+    code, data = _run_cli(["gen-dyson", "--config", str(cfg_path)], tmp_path, "d.csv")
+    row = next(csv.DictReader(data.decode().splitlines()))
+    assert (row["K"], row["pass"]) == ("8", "true")
+    assert code == 0
+
+
+def test_lb_probe_reports_measured_eta_max(tmp_path, capsys):
+    args = ["lb-probe", "--K", "3", "--trials", "1", "--restarts", "1", "--seed", "5"]
+    _, data = _run_cli(args, tmp_path, "lb.csv")
+    row = next(csv.DictReader(data.decode().splitlines()))
+    base = trial_seed(5, 0) + 32452843 * 3  # the row's encodings, as lb-probe draws them
+    encs = [random_block_encoding(2, 1, base + i) for i in range(3)]
+    assert float(row["eta_max"]) == pytest.approx(deviation_profile(encs).eta_max, rel=1e-11)
+    assert float(row["eta_max"]) > 1.0  # Haar unitaries sit far from I
+
+
+def test_run_verification_runs_every_subcommand():
+    # scripts/compare_artifacts.py gates the CSVs run_verification.py writes,
+    # so a subcommand missing from its jobs would slip past that gate
+    script = Path(__file__).resolve().parents[1] / "scripts" / "run_verification.py"
+    jobs = next(
+        node.value for node in ast.walk(ast.parse(script.read_text()))
+        if isinstance(node, ast.Assign) and [t.id for t in node.targets] == ["jobs"]
+    )
+    assert {job.elts[0].value for job in jobs.elts} == set(_SWEEPS)
 
 
 def test_lb_probe_exact_width_k4_m2_n1_passes(tmp_path, capsys):

@@ -328,6 +328,30 @@ def test_macg_bounds_at_large_p():
         assert macg_bound(16, p, 0.5) == 0.0
 
 
+def _closed_form_decimal(k, p, c):
+    """2e^c·(e·c²/(K·2^p))^{2^p} in 60-digit decimal arithmetic, then rounded
+    to a float (inf past the float range)."""
+    from decimal import Decimal, localcontext
+
+    with localcontext() as ctx:
+        ctx.prec = 60
+        c = Decimal(c)
+        return float(2 * c.exp() * (Decimal(1).exp() * c * c / (k * 2**p)) ** (2**p))
+
+
+def test_macg_bound_where_its_direct_form_overflows():
+    # outside the regime: refused by name, where η² overflowed
+    with pytest.raises(ValueError, match="regime"):
+        macg_bound(16, 1, 1e200)
+    # inside it: e^c, 2e^c or K overflows a float, and the bound is what it is,
+    # finite or past the float range (the first three raised OverflowError)
+    for k, p, c in ((10**9, 5, 800.0), (10**7, 1, 1000.0), (10**400, 1, 1.0), (10**9, 1, 709.5)):
+        exact = _closed_form_decimal(k, p, c)
+        assert macg_bound(k, p, c) == pytest.approx(exact, rel=1e-12), (k, p, c)
+    assert math.isfinite(macg_bound(10**9, 5, 800.0))
+    assert macg_bound(10**7, 1, 1000.0) == math.inf
+
+
 # --- the per-sequence norm claim: where it holds and where it fails ----------
 
 

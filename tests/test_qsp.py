@@ -27,7 +27,7 @@ from bechain.qsp import (
 def cheb_t(d: int) -> ChebPoly:
     coeffs = np.zeros(d + 1)
     coeffs[d] = 1.0
-    return ChebPoly(coeffs, "even" if d % 2 == 0 else "odd", d)
+    return ChebPoly(coeffs)
 
 
 # --- polynomial construction -------------------------------------------------
@@ -171,7 +171,7 @@ def test_zero_phase_invariant_chebyshev():
 
 
 def test_qsp_eval_unitary_on_grid():
-    phi = PhaseFactors(np.array([0.3, -0.7, 0.1, -0.7, 0.3]), "even")
+    phi = PhaseFactors(np.array([0.3, -0.7, 0.1, -0.7, 0.3]))
     for x in np.linspace(-1, 1, 17):
         assert is_unitary(qsp_eval(phi, x), Tolerance(1e-12))
 
@@ -182,7 +182,7 @@ def test_t7_at_sin_pi_14():
 
 
 def test_qsp_eval_at_x_one():
-    phi = PhaseFactors(np.array([0.2, 0.5, 0.2]), "even")
+    phi = PhaseFactors(np.array([0.2, 0.5, 0.2]))
     got = qsp_eval(phi, 1.0)[0, 0]
     assert abs(got - np.exp(1j * (0.2 + 0.5 + 0.2))) <= 1e-12
 
@@ -248,7 +248,7 @@ def test_prefix_scan_matches_prefix_suffix_loops(degree, seed):
     for j in range(degree + 1):
         folded[:, fold[j]] += grad_ref[:, j].real
     np.testing.assert_allclose(jac, folded, rtol=0, atol=1e-13)
-    phi = PhaseFactors(free[fold], "even" if degree % 2 == 0 else "odd")
+    phi = PhaseFactors(free[fold])
     np.testing.assert_allclose(qsp_poly_value(phi, xs), u_ref[:, 0, 0].real, rtol=0, atol=1e-13)
     u = np.stack([qsp_eval(phi, x) for x in xs])
     np.testing.assert_allclose(u, u_ref, rtol=0, atol=1e-13)
@@ -286,6 +286,26 @@ def test_solve_phases_t3():
     assert abs(qsp_eval(phi, 0.5)[0, 0] - (-1.0)) <= 1e-10  # T3(0.5) = -1
 
 
+@pytest.mark.parametrize("d", [1, 2, 3, 7, 8, 20])
+def test_solve_phases_negated_chebyshev(d):
+    # −T_d has no shortcut: Gauss–Newton reaches it like any other target
+    p = cheb_t(d).rescaled(-1.0)
+    phi = solve_phases(p)
+    assert phi.residual <= 1e-12
+    xs = np.linspace(-1.0, 1.0, 257)
+    assert np.max(np.abs(qsp_poly_value(phi, xs) - p(xs))) <= 1e-12
+
+
+def test_degree_and_parity_follow_the_length():
+    for length in range(1, 8):
+        d = length - 1
+        parity = "even" if d % 2 == 0 else "odd"
+        poly, phi = ChebPoly(np.eye(length)[d]), PhaseFactors(np.zeros(length))
+        assert (poly.degree, poly.parity) == (phi.degree, phi.parity) == (d, parity)
+    with pytest.raises(ValueError, match="odd polynomial has nonzero even coefficients"):
+        ChebPoly(np.array([0.1, 0.2]))
+
+
 def test_solve_phases_half_sqrt():
     p = approx_half_sqrt(0.25, 1e-3).rescaled(0.999)
     phi = solve_phases(p)
@@ -297,7 +317,7 @@ def test_solve_phases_random_targets():
     for d in (6, 11, 16):
         coeffs = np.zeros(d + 1)
         coeffs[d % 2 :: 2] = rng.standard_normal(len(coeffs[d % 2 :: 2]))
-        p = ChebPoly(coeffs, "even" if d % 2 == 0 else "odd", d)
+        p = ChebPoly(coeffs)
         p = p.rescaled(0.9 / p.sup_norm())
         phi = solve_phases(p)
         assert phi.residual <= 1e-8
@@ -307,7 +327,7 @@ def _random_target(d, sup, seed):
     rng = np.random.default_rng(seed)
     coeffs = np.zeros(d + 1)
     coeffs[d % 2 :: 2] = rng.standard_normal(coeffs[d % 2 :: 2].size)
-    p = ChebPoly(coeffs, "even" if d % 2 == 0 else "odd", d)
+    p = ChebPoly(coeffs)
     return p.rescaled(sup / p.sup_norm())
 
 
@@ -335,7 +355,7 @@ def _levenberg_marquardt_phases(p):
             gtol=2.3e-16,
             max_nfev=400 * nfree,
         )
-        phi = PhaseFactors(sol.x[fold], p.parity)
+        phi = PhaseFactors(sol.x[fold])
         grid = np.cos(np.pi * np.arange(401) / 400)
         if np.max(np.abs(qsp_poly_value(phi, grid) - p(grid))) <= 5e-9:
             return phi.phases
@@ -383,7 +403,7 @@ def test_qsp_poly_value_memory_is_linear_in_points():
     # one running product: two (M, 2, 2) slots and W(x), not all d + 1 prefixes
     import tracemalloc
 
-    phi = PhaseFactors(np.random.default_rng(3).uniform(-1.0, 1.0, 145), "even")
+    phi = PhaseFactors(np.random.default_rng(3).uniform(-1.0, 1.0, 145))
     xs = np.linspace(-1.0, 1.0, 10_000)
     tracemalloc.start()
     try:
@@ -437,7 +457,7 @@ def test_qsvt_spectral_consistency(seed):
     d = int(rng.integers(2, 12))
     coeffs = np.zeros(d + 1)
     coeffs[d % 2 :: 2] = rng.standard_normal(len(coeffs[d % 2 :: 2]))
-    p = ChebPoly(coeffs, "even" if d % 2 == 0 else "odd", d)
+    p = ChebPoly(coeffs)
     p = p.rescaled(0.9 / p.sup_norm())
     out = qsvt_apply(solve_phases(p), be)
     oracle = herm_funcmat(h, lambda x: p(x))
@@ -559,7 +579,7 @@ def test_qsvt_apply_leaves_input_untouched(sequence):
     phi = {
         "T7": lambda: chebyshev_phases(7),
         "T6": lambda: chebyshev_phases(6),
-        "odd": lambda: solve_phases(ChebPoly(np.array([0.0, 0.6, 0.0, 0.2]), "odd", 3)),
+        "odd": lambda: solve_phases(ChebPoly(np.array([0.0, 0.6, 0.0, 0.2]))),
         "even": lambda: solve_phases(approx_half_sqrt(0.25, 1e-2)),
     }[sequence]()
     be = hermitian_test_encoding(random_hermitian(4, 0.8, np.random.default_rng(5)), 2, 6)
@@ -568,14 +588,9 @@ def test_qsvt_apply_leaves_input_untouched(sequence):
     assert be.u.tobytes() == before.tobytes()
 
 
-def test_qsvt_parity_mismatch():
-    with pytest.raises(ValueError, match=r"parity"):
-        PhaseFactors(np.zeros(3), "odd")
-
-
 def test_chebpoly_parity_validation():
     with pytest.raises(ValueError, match="odd coefficients"):
-        ChebPoly(np.array([0.1, 0.2, 0.3]), "even", 2)
+        ChebPoly(np.array([0.1, 0.2, 0.3]))
 
 def test_qsvt_singular_value_transform_nonhermitian():
     # the stated contract on a non-Hermitian block: odd parity transforms the
@@ -589,7 +604,7 @@ def test_qsvt_singular_value_transform_nonhermitian():
         rng = np.random.default_rng(d)
         coeffs = np.zeros(d + 1)
         coeffs[d % 2 :: 2] = rng.standard_normal(coeffs[d % 2 :: 2].size)
-        p = ChebPoly(coeffs, "even" if d % 2 == 0 else "odd", d)
+        p = ChebPoly(coeffs)
         p = p.rescaled(0.9 / p.sup_norm())
         out = qsvt_apply(solve_phases(p), be)
         if d % 2 == 1:

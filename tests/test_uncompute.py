@@ -34,7 +34,6 @@ def test_uncompute_zero_hamiltonian():
     vh = BlockEncoding(PAULI_X.astype(complex), 1, 0)
     result, report = uncompute_hermitian(vh, 1.0, 1e-2)
     assert report.eps_measured <= 1e-2
-    assert report.ancillae_final == 1
     # the recovered single-ancilla unitary is close to X (U_H at H = 0)
     assert opnorm(single_ancilla_unitary(result) - PAULI_X) <= 1e-2
 
@@ -78,8 +77,6 @@ def test_uncompute_rejects_large_h():
 def test_uncompute_report_invariants():
     with pytest.raises(ValueError, match="eps_measured"):
         UncomputeReport(1e-3, 2e-3, 0.25, 10, 5)
-    with pytest.raises(ValueError, match="ancillae_final"):
-        UncomputeReport(1e-2, 1e-3, 0.25, 10, 5, ancillae_final=2)
 
 
 def test_uncompute_general_scalar():
@@ -185,7 +182,7 @@ def test_uncompute_raises_when_accuracy_missed(monkeypatch):
 
     # sabotage the cached half-sqrt solution with a linear polynomial: the
     # pipeline must notice the missed target and carry the measured error
-    bad = ChebPoly(np.array([0.0, 0.9]), "odd", 1)
+    bad = ChebPoly(np.array([0.0, 0.9]))
     monkeypatch.setattr(unc, "_half_sqrt_solution", lambda d, e: (bad, solve_phases(bad)))
     vh = hermitian_test_encoding(0.5 * PAULI_Z, 2, 31)
     with pytest.raises(EpsilonExceededError) as exc:
