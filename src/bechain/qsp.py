@@ -13,6 +13,7 @@ one extra ancilla, so block-level results are convention independent.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from typing import Optional
 
@@ -43,6 +44,10 @@ class ChebPoly:
 
     def __post_init__(self) -> None:
         c = np.asarray(self.coeffs, dtype=float)
+        if c.ndim != 1 or c.size < 1:
+            raise ValueError(f"coefficients must be a non-empty 1-D array, got shape {c.shape}")
+        if not np.all(np.isfinite(c)):
+            raise ValueError("coefficients must be finite")
         object.__setattr__(self, "coeffs", c)
         odd = self.degree % 2
         if np.any(np.abs(c[1 - odd :: 2]) > 1e-13):
@@ -79,6 +84,8 @@ class PhaseFactors:
         object.__setattr__(self, "phases", p)
         if p.ndim != 1 or p.size < 1:
             raise ValueError("phases must be a non-empty 1-D array")
+        if not np.all(np.isfinite(p)):
+            raise ValueError("phases must be finite")
 
     @property
     def degree(self) -> int:
@@ -91,7 +98,13 @@ class PhaseFactors:
 
 def chebyshev_phases(degree: int) -> PhaseFactors:
     """The all-zero phases, which realize T_d."""
-    return PhaseFactors(np.zeros(degree + 1))
+    try:
+        d = operator.index(degree)  # refuses 2.5, which int() would truncate
+    except TypeError:
+        d = None
+    if isinstance(degree, bool) or d is None or d < 0:
+        raise ValueError(f"degree must be a non-negative integer, got {degree!r}")
+    return PhaseFactors(np.zeros(d + 1))
 
 
 # ---------------------------------------------------------------------------
@@ -376,15 +389,26 @@ def _dense_residual(phi: PhaseFactors, p: ChebPoly) -> float:
 def _reflection_phases(rot_phases: np.ndarray) -> tuple[np.ndarray, complex]:
     """Convert wx-convention phases to reflection-convention phases.
 
-    U_rot,Φ = i^d · e^{i(φ₀−π/4)Z} W_refl e^{i(φ₁−π/2)Z} ⋯ W_refl e^{i(φ_d−π/4)Z}.
+    U_rot,Φ = i^d · e^{i(φ₀−π/4)Z} W_refl e^{i(φ₁−π/2)Z} ⋯ W_refl e^{i(φ_d−π/4)Z}
+    for d ≥ 1; at d = 0 both sequences are the single e^{iφ₀Z}.
     """
     d = rot_phases.size - 1
     refl = np.array(rot_phases, dtype=float)
-    refl[0] -= np.pi / 4
-    refl[-1] -= np.pi / 4
-    if d >= 2:
+    if d >= 1:
+        refl[0] -= np.pi / 4
+        refl[-1] -= np.pi / 4
         refl[1:-1] -= np.pi / 2
     return refl, 1j**d
+
+
+def _ordered_product(stack: np.ndarray) -> np.ndarray:
+    """stack[0] @ stack[1] @ ⋯ in ⌈log₂ n⌉ batched products; I for an empty stack."""
+    if not len(stack):
+        return np.eye(stack.shape[-1], dtype=complex)
+    while len(stack) > 1:
+        paired = stack[: len(stack) - 1 : 2] @ stack[1::2]
+        stack = np.concatenate([paired, stack[-1:]]) if len(stack) % 2 else paired
+    return stack[0]
 
 
 def _qsvt_product(
@@ -397,40 +421,47 @@ def _qsvt_product(
 
     Π keeps the first ``block_dim`` = b rows/columns (the ⟨0^a| block).  The
     rightmost signal factor is U, so even degrees give polynomials in M†M.
-    Each U·R·U† is the rank-b update e^{−iφ}·I + 2i·sinφ·c·c†, c = U[:, :b],
-    and each U†·R·U the same with r†r, r = U[:b, :] (Gilyén–Su–Low–Wiebe):
-    (d−1)·dim²·b multiply-adds instead of the dense (d−1)·dim³.  This needs
+    With E the first b unit columns, R(φ) = e^{−iφ}(I + (e^{2iφ}−1)·E·E†), and
+    each pair U·R·U† (odd d, c = U[:, :b]) or U†·R·U (even d, c = U[:b, :]†)
+    is e^{−iφ}(I + (e^{2iφ}−1)·c·c†) (Gilyén–Su–Low–Wiebe).  This needs
     U·U† = I, which every caller's ``BlockEncoding`` unitary meets to 1e-10.
-    With ``overwrite`` and odd d the product is built in u's own buffer once
-    the b columns c it reads are copied: the result is bit-identical and u is
-    spent (even d builds from the diagonal R_d and leaves u as it is).
+    So every factor is a scalar times the identity off the span of the
+    orthonormal frame B = [E, q], q the QR basis of c's rows below b, and a
+    small unitary on it.  The product is σ·(I + B·M·B†), with M + I the ordered
+    product of those r × r unitaries (r ≤ 2b) in ⌈log₂(d/2)⌉ batched products.
+    (On the frame [E, c] itself M drifts along B's null space once 2b > dim.)
+    One pass over U then gives σ·(U + B·M·B†U)·R_d for odd d and
+    σ·(I + B·M·B†) for even d: at most 2·b·dim² multiply-adds, whatever the
+    degree.  With ``overwrite`` and odd d the product is built in u's own
+    buffer, which is read only before it is written: the result is
+    bit-identical and u is spent (even d leaves u as it is).
     """
     refl, gphase = _reflection_phases(rot_phases)
-    d = refl.size - 1
-
-    def phase_vec(phi: float) -> np.ndarray:
-        v = np.full(u.shape[0], np.exp(-1j * phi), dtype=complex)
-        v[:block_dim] = np.exp(1j * phi)
-        return v
-
-    c = u[:, :block_dim] if d % 2 else u[:block_dim].conj().T  # c = r† for even d
-    if d % 2 and overwrite:
-        c = c.copy()
-    c_dag = c.conj().T
-    if d % 2:  # R₀·[U R₁ U†]·R₂ ⋯ [U R_{d−2} U†]·R_{d−1}·U·R_d
-        out = np.multiply(phase_vec(refl[d - 1])[:, None], u, out=u if overwrite else None)
-        out *= phase_vec(refl[d])
-    else:  # R₀·[U† R₁ U]·R₂ ⋯ [U† R_{d−1} U]·R_d
-        out = np.diag(phase_vec(refl[d]))
-    for j in range(d - 1 - d % 2, 0, -2):
-        # at j = d − 1 (even d only) ``out`` is still the diagonal R_d
-        proj = c_dag * np.diag(out) if j == d - 1 else c_dag @ out
-        out *= np.exp(-1j * refl[j])
-        c_scaled = 2j * np.sin(refl[j]) * c
-        for r in range(0, out.shape[0], ROW_PANEL):  # the rank-b update, no full-size temporary
-            out[r : r + ROW_PANEL] += c_scaled[r : r + ROW_PANEL] @ proj
-        out *= phase_vec(refl[j - 1])[:, None]
-    return np.multiply(gphase, out, out=out)
+    d, dim, b = refl.size - 1, u.shape[0], block_dim
+    odd = d % 2
+    c = u[:, :b] if odd else u[:b].conj().T
+    q, t = np.linalg.qr(c[b:])  # c = E·c[:b] + q·t
+    k = np.concatenate([c[:b], t])  # c in the frame's coordinates
+    eye = np.eye(k.shape[0])
+    # after R₀, one factor per pair and the R that follows it: (I + (e^{2iφ}−1)·k·k†)·R
+    rot = np.ones((d // 2, 1, eye.shape[0]), dtype=complex)
+    rot[:, 0, :b] = np.exp(2j * refl[2 : d + 1 - odd : 2])[:, None]
+    alpha = np.expm1(2j * refl[1 : d - odd : 2])
+    m = _ordered_product((eye + alpha[:, None, None] * (k @ k.conj().T)) * rot)
+    m[:b] *= np.exp(2j * refl[0])
+    m -= eye
+    scale = gphase * np.prod(np.exp(-1j * refl[: d + 1 - odd]))
+    if odd:
+        out = u if overwrite else u.copy()
+        proj = m @ np.concatenate([u[:b], q.conj().T @ u[b:]])  # M·B†U
+        scale = scale * np.where(np.arange(dim) < b, np.exp(1j * refl[d]), np.exp(-1j * refl[d]))
+    else:
+        out = np.eye(dim, dtype=complex)
+        proj = np.concatenate([m[:, :b], m[:, b:] @ q.conj().T], axis=1)  # M·B†
+    out[:b] += proj[:b]
+    for r in range(b, dim, ROW_PANEL):  # the q·(…) update, no full-size temporary
+        out[r : r + ROW_PANEL] += q[r - b : r - b + ROW_PANEL] @ proj[b:]
+    return np.multiply(out, scale, out=out)
 
 
 def qsvt_apply(phi: PhaseFactors, be: BlockEncoding) -> BlockEncoding:
@@ -440,7 +471,7 @@ def qsvt_apply(phi: PhaseFactors, be: BlockEncoding) -> BlockEncoding:
     polynomial applied to the block's singular values — W·P(Σ)·V† for odd
     parity, V·P(Σ)·V† for even — which for Hermitian blocks is the spectral
     application P(M).  The real part is the ±Φ average ½(U_Φ + U_{−Φ}): the
-    LCU of the two sequences (each built from rank-2^n pair updates) with a
+    LCU of the two sequences (each one low-rank pass over be's unitary) with a
     Hadamard prep on the new qubit.
     """
     enc = normalize_selectors(be)

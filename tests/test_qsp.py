@@ -530,15 +530,48 @@ def _rank_update_qsvt_product(u, block_dim, rot_phases):
     seed=st.integers(0, 2**32 - 1),
 )
 def test_qsvt_product_row_panels_bit_identical(dim_log, block_log, degree, seed):
-    # the row-panel updates change no bit of the whole-matrix ones, past one panel too
+    # the panelled frame update changes no bit of one whole-matrix update, past one panel too
+    import bechain.qsp as qsp_module
+
     rng = np.random.default_rng(seed)
     u = haar_unitary(2**dim_log, rng)
     block_dim = 2 ** min(block_log, dim_log - 1)
     phases = rng.uniform(-np.pi, np.pi, degree + 1)
     got = _qsvt_product(u, block_dim, phases)
-    expected = _rank_update_qsvt_product(u, block_dim, phases)
-    assert np.array_equal(got, expected)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(qsp_module, "ROW_PANEL", u.shape[0])
+        expected = _qsvt_product(u, block_dim, phases)
     assert got.tobytes() == expected.tobytes()
+
+
+@settings(deadline=None, max_examples=40)
+@given(
+    dim_log=st.integers(1, 9),
+    block_log=st.integers(0, 6),
+    degree=st.integers(0, 40),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_qsvt_product_matches_pair_updates(dim_log, block_log, degree, seed):
+    # one rank-2b pass against one whole-matrix rank-b update per pair, up to 512 dimensions
+    rng = np.random.default_rng(seed)
+    u = haar_unitary(2**dim_log, rng)
+    block_dim = 2 ** min(block_log, dim_log)
+    phases = rng.uniform(-np.pi, np.pi, degree + 1)
+    got = _qsvt_product(u, block_dim, phases)
+    np.testing.assert_allclose(got, _rank_update_qsvt_product(u, block_dim, phases), rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize(
+    "dim, block_dim, degree",
+    [(64, 4, 24), (64, 4, 129), (128, 8, 129), (512, 8, 7), (512, 8, 8), (8, 8, 12)],
+)
+def test_qsvt_product_matches_dense_loop_at_fixed_sizes(dim, block_dim, degree):
+    # high degrees, the pipeline's T₇ and its even neighbour at 512, and 2b > dim
+    rng = np.random.default_rng(dim + degree)
+    u = haar_unitary(dim, rng)
+    phases = rng.uniform(-np.pi, np.pi, degree + 1)
+    got = _qsvt_product(u, block_dim, phases)
+    np.testing.assert_allclose(got, _dense_qsvt_product(u, block_dim, phases), rtol=0, atol=1e-12)
 
 
 @settings(deadline=None, max_examples=40)
@@ -591,6 +624,41 @@ def test_qsvt_apply_leaves_input_untouched(sequence):
 def test_chebpoly_parity_validation():
     with pytest.raises(ValueError, match="odd coefficients"):
         ChebPoly(np.array([0.1, 0.2, 0.3]))
+
+
+@pytest.mark.parametrize(
+    "coeffs, message",
+    [
+        ([], "non-empty 1-D"),
+        ([[0.5]], "non-empty 1-D"),
+        ([np.nan], "finite"),
+        ([0.0, np.inf], "finite"),
+    ],
+    ids=["empty", "2-D", "nan", "inf"],
+)
+def test_chebpoly_refuses_malformed_coefficients(coeffs, message):
+    with pytest.raises(ValueError, match=message):
+        ChebPoly(np.array(coeffs))
+
+
+def test_phase_factors_refuse_non_finite_phases():
+    with pytest.raises(ValueError, match="phases must be finite"):
+        PhaseFactors(np.array([0.1, np.nan, 0.1]))
+
+
+@pytest.mark.parametrize("degree", [2.5, -1, True, np.float64(3.0)])
+def test_chebyshev_phases_refuses_bad_degree(degree):
+    with pytest.raises(ValueError, match="degree"):
+        chebyshev_phases(degree)
+
+
+def test_qsvt_apply_at_degree_zero():
+    # a single phase is its own reflection phase: T₀ = 1 and the constant 0.5
+    be = hermitian_test_encoding(random_hermitian(4, 0.8, np.random.default_rng(5)), 2, 6)
+    np.testing.assert_allclose(qsvt_apply(chebyshev_phases(0), be).block(), np.eye(4), rtol=0, atol=1e-12)
+    half = qsvt_apply(solve_phases(ChebPoly(np.array([0.5]))), be)
+    np.testing.assert_allclose(half.block(), 0.5 * np.eye(4), rtol=0, atol=1e-12)
+
 
 def test_qsvt_singular_value_transform_nonhermitian():
     # the stated contract on a non-Hermitian block: odd parity transforms the
