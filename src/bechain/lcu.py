@@ -9,7 +9,10 @@ l, r with l_j·r_j = w_j, and the sandwich then block-encodes exactly
 w₁T₁ + w₂T₂.  The pipeline's W is that sandwich over two ``select_qubit``
 grids.  The selects are linear in their cells, so :func:`_w_lcu` writes W
 cell by cell, each cell being :func:`lcu` of the two grids' cells, and
-neither select is built whole.
+neither select is built whole.  It returns W as a plain array: the
+uncomputation pipeline measures W's unitarity defect through the amplified
+unitary instead (see ``uncompute._uncompute``), and :func:`lcu_w_uh` wraps
+the same array in a validated ``BlockEncoding``.
 """
 
 from __future__ import annotations
@@ -123,6 +126,21 @@ def lcu_w_uh(vh: BlockEncoding, vsqrt: BlockEncoding) -> BlockEncoding:
     The output block is √8·s·X ⊗ blk(V_√) + s·Z ⊗ blk(V_H) with s = sin(π/14),
     i.e. sin(π/14)·(Z⊗H + X⊗√(I−H²)) up to the √-encoding's error scaled by
     √8·s ≤ 9/14.  Ancilla-count mismatches are resolved by identity padding.
+    The result is validated: W is checked for unitarity here, once.
+    """
+    root_grid, input_grid, a2 = _w_uh_grids(vh, vsqrt)
+    return BlockEncoding(_w_lcu(root_grid, input_grid, a2, vh.n), 1 + a2, vh.n + 1)
+
+
+_Grid = Sequence[Sequence[Optional[npt.ArrayLike]]]
+
+
+def _w_uh_grids(vh: BlockEncoding, vsqrt: BlockEncoding) -> tuple[_Grid, _Grid, int]:
+    """W's root and input grids for U_H, and the padded ancilla count a2.
+
+    V_H and V_√ are padded with identities to a2 = max of their ancilla
+    counts; the root branch puts V_√ on X of the dilation qubit, the input
+    branch V_H on Z.
     """
     if vh.n != vsqrt.n:
         raise ValueError("system-register mismatch between V_H and V_sqrt")
@@ -131,22 +149,21 @@ def lcu_w_uh(vh: BlockEncoding, vsqrt: BlockEncoding) -> BlockEncoding:
     a2 = max(enc_h.a, enc_s.a)
     u_h = np.kron(np.eye(2 ** (a2 - enc_h.a)), enc_h.u)
     u_s = np.kron(np.eye(2 ** (a2 - enc_s.a)), enc_s.u)
-    # X on the dilation qubit for the root branch, Z for the input branch
-    return _w_lcu([[None, u_s], [u_s, None]], [[u_h, None], [None, -u_h]], a2, vh.n)
+    return [[None, u_s], [u_s, None]], [[u_h, None], [None, -u_h]], a2
 
 
-_Grid = Sequence[Sequence[Optional[npt.ArrayLike]]]
-
-
-def _w_lcu(root_grid: _Grid, input_grid: _Grid, a2: int, n: int) -> BlockEncoding:
+def _w_lcu(root_grid: _Grid, input_grid: _Grid, a2: int, n: int) -> CMatrix:
     """sin(π/14)·U from the root branch (weight √8·s) and the input branch (weight s).
 
     Each grid is a ``select_qubit`` grid placing the dilation qubit after the
-    a2 ancillae: the layout is [prep 1][anc a2][dilation qubit][n].  W is
+    a2 ancillae: the layout is [prep 1][anc a2][dilation qubit][n], so W is
+    the unitary of a (1, 1 + a2)-encoding on n + 1 qubits.  W is
     ``pair_select`` of the two selects.  The selects are linear in their
     cells, so W's cell (r, c) on the dilation qubit is :func:`lcu` of the two
     grids' cells (r, c), written into W as it is built; neither select is
-    built whole.
+    built whole.  W is returned unvalidated: it is unitary whenever the
+    grids' cells are, and a caller checks that once, on W or on a product
+    whose unitarity defect equals W's.
     """
     s = SIN_PI_14
     p_l, p_r = _asym_prep_pair(math.sqrt(8.0) * s, s)
@@ -156,4 +173,4 @@ def _w_lcu(root_grid: _Grid, input_grid: _Grid, a2: int, n: int) -> BlockEncodin
             pair = (root_grid[row][col], input_grid[row][col])
             if any(t is not None for t in pair):
                 _write_cell(w, 1 + a2, row, col, lcu(p_l, p_r, pair))
-    return BlockEncoding(w, 1 + a2, n + 1)
+    return w

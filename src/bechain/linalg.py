@@ -95,6 +95,20 @@ def _unitary_within(arr: CMatrix, atol: float) -> bool:
     return opnorm(dev) <= atol
 
 
+def _orthonormal_within(c: CMatrix, atol: float) -> bool:
+    """``‖C†C − I‖ ≤ atol`` for the columns of a finite complex128 C.
+
+    :func:`_unitary_within`'s rule on a Gram matrix only as large as C has
+    columns, so it is formed whole: its Frobenius norm accepts, and past it
+    the SVD's verdict stands.  The columns of a square M that passes
+    ``_unitary_within`` pass too, since C†C − I is a principal submatrix of
+    M†M − I.
+    """
+    dev = c.conj().T @ c
+    dev.reshape(-1)[:: dev.shape[0] + 1] -= 1.0
+    return bool(np.vdot(dev, dev).real <= atol * atol) or opnorm(dev) <= atol
+
+
 def is_unitary(m: npt.ArrayLike, tol: Tolerance = DEFAULT_TOL) -> bool:
     """True iff ``‖M†M − I‖ ≤ atol`` (see :func:`_unitary_within`)."""
     arr = as_cmatrix(m)

@@ -22,7 +22,7 @@ from numpy.polynomial import chebyshev as np_cheb
 
 from .encoding import BlockEncoding, normalize_selectors
 from .lcu import lcu
-from .linalg import CMatrix, HADAMARD, ROW_PANEL, kron
+from .linalg import CMatrix, DEFAULT_TOL, HADAMARD, ROW_PANEL, _orthonormal_within, kron
 
 MAX_DEGREE = 512
 _QSP_SUP_LIMIT = 1.0 - 1e-6
@@ -35,6 +35,14 @@ _GAUSS_NEWTON_MAX_STEPS = 100
 _PARITY = ("even", "odd")  # indexed by degree mod 2
 
 
+def _real_array(values, name: str) -> np.ndarray:
+    """``values`` as a float array; complex input is refused, not cast to its real part."""
+    arr = np.asarray(values)
+    if np.iscomplexobj(arr):
+        raise ValueError(f"{name} must be real, got complex input of dtype {arr.dtype}")
+    return arr.astype(float, copy=False)
+
+
 @dataclass(frozen=True)
 class ChebPoly:
     """Real polynomial Σ_k coeffs[k]·T_k(x) of degree len(coeffs) − 1, whose
@@ -43,7 +51,7 @@ class ChebPoly:
     coeffs: np.ndarray
 
     def __post_init__(self) -> None:
-        c = np.asarray(self.coeffs, dtype=float)
+        c = _real_array(self.coeffs, "coefficients")
         if c.ndim != 1 or c.size < 1:
             raise ValueError(f"coefficients must be a non-empty 1-D array, got shape {c.shape}")
         if not np.all(np.isfinite(c)):
@@ -80,7 +88,7 @@ class PhaseFactors:
     residual: float = 0.0
 
     def __post_init__(self) -> None:
-        p = np.asarray(self.phases, dtype=float)
+        p = _real_array(self.phases, "phases")
         object.__setattr__(self, "phases", p)
         if p.ndim != 1 or p.size < 1:
             raise ValueError("phases must be a non-empty 1-D array")
@@ -423,10 +431,12 @@ def _qsvt_product(
     rightmost signal factor is U, so even degrees give polynomials in M†M.
     With E the first b unit columns, R(φ) = e^{−iφ}(I + (e^{2iφ}−1)·E·E†), and
     each pair U·R·U† (odd d, c = U[:, :b]) or U†·R·U (even d, c = U[:b, :]†)
-    is e^{−iφ}(I + (e^{2iφ}−1)·c·c†) (Gilyén–Su–Low–Wiebe).  This needs
-    U·U† = I, which every caller's ``BlockEncoding`` unitary meets to 1e-10.
-    So every factor is a scalar times the identity off the span of the
-    orthonormal frame B = [E, q], q the QR basis of c's rows below b, and a
+    is e^{−iφ}(I + (e^{2iφ}−1)·c·c†) (Gilyén–Su–Low–Wiebe).  This needs only
+    c†c = I for the b columns (or rows) of U that are read: the frame check
+    refuses a c with ‖c†c − I‖ > 1e-10 by ``_unitary_within``'s rule, with
+    ``BlockEncoding``'s message, so every U that ``BlockEncoding`` accepts
+    passes.  Then every factor is a scalar times the identity off the span of
+    the orthonormal frame B = [E, q], q the QR basis of c's rows below b, and a
     small unitary on it.  The product is σ·(I + B·M·B†), with M + I the ordered
     product of those r × r unitaries (r ≤ 2b) in ⌈log₂(d/2)⌉ batched products.
     (On the frame [E, c] itself M drifts along B's null space once 2b > dim.)
@@ -435,11 +445,18 @@ def _qsvt_product(
     degree.  With ``overwrite`` and odd d the product is built in u's own
     buffer, which is read only before it is written: the result is
     bit-identical and u is spent (even d leaves u as it is).
+
+    With c orthonormal, F = I + B·M·B† is unitary, and for odd d the result
+    is A = σ·F·U·D with D = diag(R_d): in exact arithmetic
+    A†A − I = D†(U†U − I)D, so a unitarity check of A measures U's defect
+    and no check of U itself is needed.
     """
     refl, gphase = _reflection_phases(rot_phases)
     d, dim, b = refl.size - 1, u.shape[0], block_dim
     odd = d % 2
     c = u[:, :b] if odd else u[:b].conj().T
+    if not _orthonormal_within(c, DEFAULT_TOL.atol):  # the frame below needs c†c = I
+        raise ValueError("u is not unitary within 1e-10")
     q, t = np.linalg.qr(c[b:])  # c = E·c[:b] + q·t
     k = np.concatenate([c[:b], t])  # c in the frame's coordinates
     eye = np.eye(k.shape[0])

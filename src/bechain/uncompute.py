@@ -15,9 +15,10 @@ Pipeline (input M = H Hermitian, or M = A general, ‖M‖ ≤ 1−δ):
    single-ancilla encoding of M (the dilation qubit is the one ancilla left).
 
 Both cases run through one core, :func:`_uncompute`; the Hermitian case takes
-one square root where the general case takes two.  Queries count the
-input-encoding applications of the fully unrolled circuit.  A degree-d QSVT
-uses its encoding exactly d times (Gilyén–Su–Low–Wiebe), so the count
+one square root where the general case takes two.  W's unitarity is checked
+once, through the amplified unitary (see :func:`_uncompute`).  Queries count
+the input-encoding applications of the fully unrolled circuit.  A degree-d
+QSVT uses its encoding exactly d times (Gilyén–Su–Low–Wiebe), so the count
 follows from the degrees alone.
 """
 
@@ -36,7 +37,7 @@ from .encoding import (
     normalize_selectors,
     verify_encoding,
 )
-from .lcu import SIN_PI_14, _i_minus_gram, _w_lcu, lcu_w_uh
+from .lcu import SIN_PI_14, _Grid, _i_minus_gram, _w_lcu, _w_uh_grids
 from .linalg import (
     CMatrix,
     DEFAULT_TOL,
@@ -111,16 +112,25 @@ def _uncompute(
     delta: float,
     eps: float,
     grams: list[CMatrix],
-    build_w: Callable[[list[BlockEncoding]], BlockEncoding],
+    w_grids: Callable[[list[BlockEncoding]], tuple[_Grid, _Grid, int]],
     dilate: Callable[[CMatrix], BlockEncoding],
     bra: str,
 ) -> tuple[BlockEncoding, UncomputeReport]:
     """Steps 1–5 on a selector-normalized encoding of M.
 
     ``grams`` holds the unitaries V whose (I − blk(V)†blk(V))/2 steps get the
-    ½√x QSVT, each V being used once more bare inside W; ``build_w`` turns
-    those square roots into W ≈ sin(π/14)·U with U = ``dilate(M).u``; ``bra``
-    is the result's selector on the dilation qubit.
+    ½√x QSVT, each V being used once more bare inside W; ``w_grids`` turns
+    those square roots into the grids and ancilla count from which ``_w_lcu``
+    builds W ≈ sin(π/14)·U, with U = ``dilate(M).u``; ``bra`` is the result's
+    selector on the dilation qubit.
+
+    W is built as a plain array and validated only through the amplified
+    unitary A = σ·F·W·D that ``_qsvt_product`` returns: D is a diagonal of
+    unit phases, and F = I + B·M·B† is unitary once the b columns of W that
+    ``_qsvt_product`` reads pass its orthonormality check.  In exact
+    arithmetic A†A − I = D†(W†W − I)D, so the result's one full unitarity
+    check in ``BlockEncoding`` measures W's defect, and a W that a check of
+    its own would refuse is refused there with the same message.
     """
     if not 0.0 < delta <= 1.0:
         raise ValueError("delta must lie in (0, 1]")
@@ -132,12 +142,14 @@ def _uncompute(
 
     poly, phases = _half_sqrt_solution(_spectral_floor(delta), eps / 9.0)
     roots = [qsvt_apply(phases, _i_minus_gram(v, enc.a, enc.n)) for v in grams]
-    w_be = build_w(roots)
+    w = _w_lcu(*w_grids(roots), enc.n)
     del roots
-    w_block, work = w_be.block(), w_be.a  # working ancillae, all selected at 0
+    block_dim = 2 ** (enc.n + 1)  # W's system is the dilation qubit and M's n qubits
+    w_block = w[:block_dim, :block_dim].copy()
+    work = w.shape[0].bit_length() - 1 - (enc.n + 1)  # working ancillae, all selected at 0
     # T₇ is built in W's own buffer, so the amplified unitary replaces W
-    amplified = _qsvt_product(w_be.u, 2**w_be.n, np.zeros(OAA_ORDER + 1), overwrite=True)
-    del w_be  # its u is spent
+    amplified = _qsvt_product(w, block_dim, np.zeros(OAA_ORDER + 1), overwrite=True)
+    del w  # spent
     np.negative(amplified, out=amplified)
     result = BlockEncoding(
         amplified, work + 1, enc.n, bra_sel="0" * work + bra, ket_sel="0" * (work + 1)
@@ -175,7 +187,7 @@ def uncompute_hermitian(
         raise ValueError("encoded block is not Hermitian")
     # W = √8·s·X⊗√(I−H²)/√8 + s·Z⊗H, one bare V_H per W
     return _uncompute(
-        enc, delta, eps, [enc.u], lambda roots: lcu_w_uh(enc, roots[0]), dilate_hermitian, "0"
+        enc, delta, eps, [enc.u], lambda roots: _w_uh_grids(enc, roots[0]), dilate_hermitian, "0"
     )
 
 
@@ -193,9 +205,10 @@ def single_ancilla_unitary(result: BlockEncoding) -> CMatrix:
 
 def _w_general(
     enc: BlockEncoding, root_right: BlockEncoding, root_left: BlockEncoding
-) -> BlockEncoding:
-    """sin(π/14)·U_A from √(I−A†A)/√8, √(I−AA†)/√8, V_A and V_A†.
+) -> tuple[_Grid, _Grid, int]:
+    """W's grids for sin(π/14)·U_A from √(I−A†A)/√8, √(I−AA†)/√8, V_A and V_A†.
 
+    Returns the root and input grids and the ancilla count a2 for ``_w_lcu``.
     Register layout [prep][a2 ancillae][dilation qubit][n]: the branch
     diag(√(I−A†A), −√(I−AA†))/√8 gets weight √8·s and the branch
     |0⟩⟨1|⊗A† + |1⟩⟨0|⊗A weight s, with s = sin(π/14).
@@ -203,7 +216,7 @@ def _w_general(
     a2 = root_right.a
     pad = np.eye(2 ** (a2 - enc.a))
     off = [[None, np.kron(pad, dagger(enc.u))], [np.kron(pad, enc.u), None]]
-    return _w_lcu([[root_right.u, None], [None, -root_left.u]], off, a2, enc.n)
+    return [[root_right.u, None], [None, -root_left.u]], off, a2
 
 
 def uncompute_general(

@@ -10,6 +10,7 @@ from bechain.lcu import (
     SIN_PI_14,
     _asym_prep_pair,
     _w_lcu,
+    _w_uh_grids,
     lcu,
     lcu_i_minus_h2,
     lcu_w_uh,
@@ -221,8 +222,34 @@ def test_w_lcu_quadrants_match_pair_select(a2):
     s14 = SIN_PI_14
     expected = pair_select(math.sqrt(8.0) * s14, select_qubit(root, split=a2),
                            s14, select_qubit(inp, split=a2))
+    assert np.array_equal(w, expected)
+
+
+@pytest.mark.parametrize("a_h", [1, 4])
+def test_lcu_w_uh_returns_validated_encoding(a_h, monkeypatch):
+    # lcu_w_uh wraps _w_lcu's array on [prep 1][anc a2][dilation qubit][n] and
+    # validates it: a column scaled by 1 + 1e-6 is refused
+    import importlib
+
+    lcu_module = importlib.import_module("bechain.lcu")  # bechain.lcu is also a function
+
+    h = np.array([[0.6]])
+    vh, vs = hermitian_test_encoding(h, a_h, 5), _exact_sqrt_encoding(h)
+    a2, n = max(a_h, vs.a), vh.n
+    w = lcu_w_uh(vh, vs)
+    assert isinstance(w, BlockEncoding)
     assert (w.a, w.n) == (1 + a2, n + 1)
-    assert np.array_equal(w.u, expected)
+    assert np.array_equal(w.u, _w_lcu(*_w_uh_grids(vh, vs), n))
+    build = lcu_module._w_lcu
+
+    def skewed(*args):
+        out = build(*args)
+        out[:, 3] *= 1.0 + 1e-6
+        return out
+
+    monkeypatch.setattr(lcu_module, "_w_lcu", skewed)
+    with pytest.raises(ValueError, match="^u is not unitary within 1e-10$"):
+        lcu_w_uh(vh, vs)
 
 
 def test_lcu_w_uh_register_mismatch():

@@ -606,6 +606,62 @@ def test_qsvt_product_overwrite_t7_at_512():
     assert got.tobytes() == expected.tobytes()
 
 
+@pytest.mark.parametrize("degree", [7, 8])
+@pytest.mark.parametrize("skew", ["column", "row"])
+def test_qsvt_product_refuses_a_non_orthonormal_frame(degree, skew):
+    # b = 4 of 64: column or row 1 scaled by 1 + 1e-6 leaves neither the first
+    # b columns (read at odd d) nor the first b rows (read at even d) orthonormal
+    u = haar_unitary(64, np.random.default_rng(degree))
+    if skew == "column":
+        u[:, 1] *= 1.0 + 1e-6
+    else:
+        u[1] *= 1.0 + 1e-6
+    with pytest.raises(ValueError, match="^u is not unitary within 1e-10$"):
+        _qsvt_product(u, 4, np.zeros(degree + 1))
+
+
+def test_qsvt_product_accepts_what_only_the_svd_accepts(monkeypatch):
+    # U = W·diag(√(1 + d))·V† with d = ±0.9e-10, W and V fixing the first b
+    # basis vectors: ‖U†U − I‖₂ = 0.9e-10 ≤ 1e-10 < ‖U†U − I‖_F, and the
+    # frame's b × b Gram deviation is diag(d[:b]), past Frobenius as well
+    import bechain.linalg as linalg_module
+
+    dim, b = 64, 4
+    rng = np.random.default_rng(11)
+
+    def fixing_frame():
+        s = np.eye(dim, dtype=complex)
+        s[b:, b:] = haar_unitary(dim - b, rng)
+        return s
+
+    d = rng.choice([-1.0, 1.0], dim) * 0.9e-10
+    u = (fixing_frame() * np.sqrt(1.0 + d)) @ fixing_frame().conj().T
+    svd_shapes = []
+    svd = linalg_module.opnorm
+    monkeypatch.setattr(linalg_module, "opnorm", lambda e: svd_shapes.append(e.shape) or svd(e))
+    assert is_unitary(u)
+    assert svd_shapes == [(dim, dim)]
+    for degree in (7, 8):
+        svd_shapes.clear()
+        expected = _dense_qsvt_product(u, b, np.zeros(degree + 1))
+        # the low-rank form and the dense product part by O(degree·defect) off unitarity
+        np.testing.assert_allclose(_qsvt_product(u, b, np.zeros(degree + 1)), expected, rtol=0, atol=1e-8)
+        assert svd_shapes == [(b, b)]
+
+
+def test_qsvt_product_output_carries_u_defect_at_512():
+    # off the frame, T₇'s output keeps U's defect: A†A − I = D†(U†U − I)D with
+    # D a diagonal of unit phases, so a check of A measures U
+    u = haar_unitary(512, np.random.default_rng(12))
+    u[:, 100] *= 1.0 + 1e-6
+    amplified = _qsvt_product(u, 8, np.zeros(8))
+    eye = np.eye(512)
+    dev_u, dev_a = u.conj().T @ u - eye, amplified.conj().T @ amplified - eye
+    np.testing.assert_allclose(np.abs(dev_a), np.abs(dev_u), rtol=0, atol=1e-13)
+    assert opnorm(dev_a) == pytest.approx(opnorm(dev_u), rel=1e-6)
+    assert not is_unitary(amplified)
+
+
 @pytest.mark.parametrize("sequence", ["T7", "T6", "odd", "even"])
 def test_qsvt_apply_leaves_input_untouched(sequence):
     # zero phases take the single-product path, the others the ±Φ average
@@ -639,6 +695,18 @@ def test_chebpoly_parity_validation():
 def test_chebpoly_refuses_malformed_coefficients(coeffs, message):
     with pytest.raises(ValueError, match=message):
         ChebPoly(np.array(coeffs))
+
+
+@pytest.mark.parametrize("coeffs", [[0.5 + 0.5j], [0.5 + 0j]], ids=["imaginary", "zero-imaginary"])
+def test_chebpoly_refuses_complex_coefficients(coeffs):
+    with pytest.raises(ValueError, match="coefficients must be real, got complex"):
+        ChebPoly(np.array(coeffs))
+
+
+@pytest.mark.parametrize("phases", [[0.1 + 1j], [0.1 + 0j]], ids=["imaginary", "zero-imaginary"])
+def test_phase_factors_refuse_complex_phases(phases):
+    with pytest.raises(ValueError, match="phases must be real, got complex"):
+        PhaseFactors(np.array(phases))
 
 
 def test_phase_factors_refuse_non_finite_phases():

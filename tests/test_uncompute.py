@@ -236,3 +236,56 @@ def test_pipeline_holds_w_and_one_panel():
             tracemalloc.stop()
         assert result.dim == 512
         assert peak <= limit, (pipeline.__name__, peak)
+
+
+def _pipelines_at_512():
+    """Both pipelines with inputs of n = 2, a = 3: W and the result are 512 × 512."""
+    rng = np.random.default_rng(81)
+    h = random_hermitian(4, 0.7, rng)
+    mat = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
+    mat = 0.7 * mat / opnorm(mat)
+    va = scramble_ancillas(pad_ancillas(normalize_selectors(dilate_general(mat)), 3), 83)
+    return ((uncompute_hermitian, hermitian_test_encoding(h, 3, 82)), (uncompute_general, va))
+
+
+@pytest.mark.parametrize("column, refused_in", [(3, "_qsvt_product"), (100, "__post_init__")])
+def test_non_unitary_w_is_refused(column, refused_in, monkeypatch):
+    # W is checked only through T₇'s output: a column of W inside the b = 8
+    # frame is refused by _qsvt_product's frame check, one outside it by the
+    # result's BlockEncoding, with the message of a check of W itself
+    import bechain.uncompute as unc
+
+    build = unc._w_lcu
+
+    def skewed(*args):
+        w = build(*args)
+        w[:, column] *= 1.0 + 1e-6
+        return w
+
+    monkeypatch.setattr(unc, "_w_lcu", skewed)
+    for pipeline, enc in _pipelines_at_512():
+        with pytest.raises(ValueError, match="^u is not unitary within 1e-10$") as exc:
+            pipeline(enc, 0.25, 1e-2)
+        assert exc.traceback[-1].name == refused_in, pipeline.__name__
+
+
+def test_one_unitarity_check_at_512(monkeypatch):
+    # the result's BlockEncoding is the only 512-dimensional unitarity check
+    import bechain.encoding as encoding_module
+    import bechain.linalg as linalg_module
+
+    shapes = []
+    check = linalg_module._unitary_within
+
+    def counted(arr, atol):
+        shapes.append(arr.shape)
+        return check(arr, atol)
+
+    for module in (encoding_module, linalg_module):
+        monkeypatch.setattr(module, "_unitary_within", counted)
+    for pipeline, enc in _pipelines_at_512():
+        shapes.clear()
+        result, _ = pipeline(enc, 0.25, 1e-2)
+        assert result.dim == 512
+        assert shapes.count((512, 512)) == 1, pipeline.__name__
+        assert max(shapes) == (512, 512)
